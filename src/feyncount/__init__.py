@@ -14,12 +14,10 @@ from .compositions import (
     multiset_multiplicity,
 )
 from .counting import (
-    DEFAULT_TERM_BUDGET,
     Check,
     CountRow,
     ExactnessError,
     MethodDisagreementError,
-    TermBudgetError,
     VerificationReport,
     arques_walsh,
     bubble_diagrams,
@@ -61,12 +59,10 @@ __all__ = [
     "count_compositions",
     "enumerate_compositions",
     "multiset_multiplicity",
-    "DEFAULT_TERM_BUDGET",
     "Check",
     "CountRow",
     "ExactnessError",
     "MethodDisagreementError",
-    "TermBudgetError",
     "VerificationReport",
     "arques_walsh",
     "bubble_diagrams",

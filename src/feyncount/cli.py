@@ -16,14 +16,12 @@ from pathlib import Path
 
 from . import counting, oracle
 from .compositions import count_compositions, enumerate_compositions
-from .counting import (
-    DEFAULT_TERM_BUDGET,
-    ExactnessError,
-    MethodDisagreementError,
-    TermBudgetError,
-    VerificationReport,
-)
+from .counting import ExactnessError, MethodDisagreementError, VerificationReport
 from .oracle import OrderCapError
+
+# The coefficient-recursion suite streams about 2**m compositions per order,
+# so verify runs it no further than this order.
+_COEFFICIENT_SUITE_CAP = 20
 
 
 def _print_aligned(rows: list[list[str]]) -> None:
@@ -33,9 +31,7 @@ def _print_aligned(rows: list[list[str]]) -> None:
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    rows = counting.count_table(
-        args.max_order, method=args.method, term_budget=args.term_budget
-    )
+    rows = counting.count_table(args.max_order, method=args.method)
     header = ["m", "total", "bubble", "connected", "distinct"]
     cells = [
         [str(r.m), str(r.total), str(r.bubble), str(r.connected), str(r.distinct)]
@@ -71,23 +67,20 @@ def cmd_counts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_report(max_order: int, term_budget: int) -> VerificationReport:
+def _verify_report(max_order: int) -> VerificationReport:
     report = VerificationReport()
     report.extend(counting.verify_convolution(max_order))
     report.extend(counting.verify_divisibility(max_order))
     report.extend(counting.verify_rewrite_identities(max_order))
+    report.extend(counting.verify_three_path(max_order))
 
-    # The cross-method and coefficient suites expand up to 2**m composition
-    # terms per order, so they stop where the term budget does.
-    exponential_cap = min(max_order, max(term_budget.bit_length() - 1, 1))
-    if exponential_cap < max_order:
+    coefficient_cap = min(max_order, _COEFFICIENT_SUITE_CAP)
+    if coefficient_cap < max_order:
         print(
-            f"note: exponential-cost suites capped at order {exponential_cap} "
-            f"by the term budget of {term_budget}",
+            f"note: coefficient-recursion suite capped at order {coefficient_cap}",
             file=sys.stderr,
         )
-    report.extend(counting.verify_three_path(exponential_cap, term_budget=term_budget))
-    report.extend(counting.verify_coefficient_recursion(exponential_cap))
+    report.extend(counting.verify_coefficient_recursion(coefficient_cap))
 
     for n in range(1, min(max_order, 16) + 1):
         streamed = sum(1 for _ in enumerate_compositions(n))
@@ -120,7 +113,7 @@ def _verify_report(max_order: int, term_budget: int) -> VerificationReport:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_order < 1:
         raise ValueError(f"--max-order must be >= 1, got {args.max_order}")
-    report = _verify_report(args.max_order, args.term_budget)
+    report = _verify_report(args.max_order)
     passed = sum(1 for c in report.checks if c.passed)
     if args.format == "json":
         payload = {
@@ -251,13 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=["table", "csv", "json", "bfile"], default="table"
     )
-    p.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET, metavar="N")
     p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("verify", help="run the identity and oracle suites")
     p.add_argument("--max-order", type=int, required=True, metavar="M")
     p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET, metavar="N")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force enumeration census at one order")
@@ -284,9 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Counts outgrow CPython's default 4300-digit limit on int -> str rendering.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (OrderCapError, TermBudgetError, ValueError) as exc:
+    except (OrderCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MethodDisagreementError, ExactnessError) as exc:

@@ -5,13 +5,17 @@ Three independent routes to the connected count are implemented:
 * a subtraction recurrence peeling vacuum bubbles off the factorial
   total (O(m^2) big-integer work, the default),
 * a closed form summing signed composition-indexed coefficients against
-  (total - bubble) differences (2**(m-1) terms),
+  (total - bubble) differences,
 * the Arques-Walsh rooted-map sum, which yields the count of *distinct*
-  connected diagrams directly (2**m terms).
+  connected diagrams directly.
+
+Both composition sums are coefficients of a reciprocal power series, so
+each is evaluated by its own O(m^2) convolution recurrence instead of
+expanding 2**m compositions.  `coefficient` keeps the explicit
+composition sum, the form the paper works through by hand.
 
 All arithmetic is exact; counts are plain Python integers and must never
-pass through floating point.  The two exponential-cost routes refuse to
-expand beyond a configurable term budget.
+pass through floating point.
 """
 
 from __future__ import annotations
@@ -21,16 +25,6 @@ import threading
 from dataclasses import dataclass, field
 
 from .compositions import enumerate_compositions
-
-#: Default cap on composition terms the exponential-cost methods may expand:
-#: 2**(m-1) terms for the closed form, 2**m for the Arques-Walsh sum, so the
-#: default admits orders up to 21 and 20 respectively.
-DEFAULT_TERM_BUDGET = 1 << 20
-
-
-class TermBudgetError(Exception):
-    """An exponential-cost evaluation would exceed the term budget."""
-
 
 class ExactnessError(Exception):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -66,14 +60,6 @@ def _fact(n: int) -> int:
 def _check_order(m: int) -> None:
     if m < 0:
         raise ValueError(f"perturbation order must be >= 0, got {m}")
-
-
-def _check_budget(method: str, terms: int, budget: int) -> None:
-    if terms > budget:
-        raise TermBudgetError(
-            f"{method} would expand {terms} composition terms, "
-            f"exceeding the term budget of {budget}"
-        )
 
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -151,41 +137,58 @@ def coefficient(n: int, m: int) -> int:
     return total
 
 
-def connected_closed_form(m: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
-    """Connected order-m diagram count from the signed coefficient expansion.
+def _closed_form_sequence(m_max: int) -> list[int]:
+    """Connected counts [order 0 .. m_max] by the signed closed form.
 
-    Expands 2**(m-1) composition terms in total, so the call refuses
-    orders whose expansion would exceed `term_budget`.
+    The composition sum in `coefficient(n, m)` factors as m!/n! * g(m-n),
+    where g(k) sums (-1)**parts * prod_j (2 a_j)!/a_j! over compositions
+    of k.  Those g(k) are the coefficients of 1 / (1 + sum_a (2a)!/a! x**a),
+    so g(0) = 1 and g(k) = -sum_{a=1..k} (2a)!/a! * g(k-a).
     """
-    _check_order(m)
-    if m == 0:
-        return 1
-    _check_budget("closed form", 1 << (m - 1), term_budget)
-    return sum(
-        coefficient(n, m) * (_fact(2 * n + 1) - _fact(2 * n)) for n in range(1, m + 1)
-    )
+    _check_order(m_max)
+    ratio = [_fact(2 * a) // _fact(a) for a in range(m_max)]
+    g = [1]
+    for k in range(1, m_max):
+        g.append(-sum(ratio[a] * g[k - a] for a in range(1, k + 1)))
+    excess = [_fact(2 * n + 1) - _fact(2 * n) for n in range(m_max + 1)]
+    connected = [1]
+    for m in range(1, m_max + 1):
+        total = 0
+        falling = 1  # m!/n!
+        for n in range(m, 0, -1):
+            total += falling * g[m - n] * excess[n]
+            falling *= n
+        connected.append(total)
+    return connected
 
 
-def arques_walsh(m: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
-    """Distinct connected order-m diagram count by the Arques-Walsh sum.
+def connected_closed_form(m: int) -> int:
+    """Connected order-m diagram count from the signed coefficient expansion."""
+    return _closed_form_sequence(m)[m]
 
-    Signed sum over the 2**m compositions of m+1 of prod_j (2 a_j)!/a_j!,
-    the sign being (-1)**(parts - 1), divided by 2**(m+1).  The division
-    is exact for every order; a remainder raises ExactnessError because
-    it can only mean the implementation is broken.
+
+def _arques_walsh_sequence(m_max: int) -> list[int]:
+    """Distinct connected counts [order 0 .. m_max] by the Arques-Walsh sum.
+
+    The sum runs over compositions of m+1 of (-1)**(parts-1) times
+    prod_j (2 a_j)!/a_j!, divided by 2**(m+1).  As (2a)!/a! = 2**a (2a-1)!!,
+    the division cancels termwise, and the signed sum is the coefficient
+    a(m+1) of 1 - 1/(1 + sum_k (2k-1)!! x**k):
+    a(n) = (2n-1)!! - sum_{k<n} (2k-1)!! a(n-k).
     """
-    _check_order(m)
-    _check_budget("Arques-Walsh sum", 1 << m, term_budget)
-    ratio = [0] * (m + 2)
-    for a in range(1, m + 2):
-        ratio[a] = _fact(2 * a) // _fact(a)
-    total = 0
-    for parts in enumerate_compositions(m + 1):
-        term = 1
-        for a in parts:
-            term *= ratio[a]
-        total += term if len(parts) & 1 else -term
-    return _exact_div(total, 1 << (m + 1), "Arques-Walsh sum over 2**(m+1)")
+    _check_order(m_max)
+    odd = [1]  # odd[k] = (2k-1)!!
+    for k in range(1, m_max + 2):
+        odd.append(odd[-1] * (2 * k - 1))
+    a = [0]
+    for n in range(1, m_max + 2):
+        a.append(odd[n] - sum(odd[k] * a[n - k] for k in range(1, n)))
+    return a[1:]
+
+
+def arques_walsh(m: int) -> int:
+    """Distinct connected order-m diagram count by the Arques-Walsh sum."""
+    return _arques_walsh_sequence(m)[m]
 
 
 def distinct_connected(m: int) -> int:
@@ -211,12 +214,7 @@ class CountRow:
     distinct: int
 
 
-def count_table(
-    max_order: int,
-    *,
-    method: str = "recurrence",
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> list[CountRow]:
+def count_table(max_order: int, *, method: str = "recurrence") -> list[CountRow]:
     """Rows (m, total, bubble, connected, distinct) for 0 <= m <= max_order.
 
     `method` picks the route to the connected column: "recurrence",
@@ -224,29 +222,28 @@ def count_table(
     and raises MethodDisagreementError on any mismatch.
     """
     _check_order(max_order)
-    by_recurrence = connected_sequence(max_order)
-    rows = []
-    for m in range(max_order + 1):
-        dfact = double_factorial(2 * m)
-        if method == "recurrence":
-            connected = by_recurrence[m]
-        elif method == "closed-form":
-            connected = connected_closed_form(m, term_budget=term_budget)
-        elif method == "arques-walsh":
-            connected = arques_walsh(m, term_budget=term_budget) * dfact
-        elif method == "all":
-            connected = by_recurrence[m]
-            closed = connected_closed_form(m, term_budget=term_budget)
-            walsh = arques_walsh(m, term_budget=term_budget) * dfact
-            if not connected == closed == walsh:
+    dfacts = [double_factorial(2 * m) for m in range(max_order + 1)]
+    if method in ("recurrence", "all"):
+        connected = connected_sequence(max_order)
+    elif method == "closed-form":
+        connected = _closed_form_sequence(max_order)
+    elif method == "arques-walsh":
+        connected = [d * f for d, f in zip(_arques_walsh_sequence(max_order), dfacts)]
+    else:
+        raise ValueError(f"unknown method: {method!r}")
+    if method == "all":
+        closed = _closed_form_sequence(max_order)
+        walsh = _arques_walsh_sequence(max_order)
+        for m in range(max_order + 1):
+            if not connected[m] == closed[m] == walsh[m] * dfacts[m]:
                 raise MethodDisagreementError(
-                    f"order {m}: recurrence={connected}, "
-                    f"closed-form={closed}, arques-walsh*(2m)!!={walsh}"
+                    f"order {m}: recurrence={connected[m]}, closed-form={closed[m]}, "
+                    f"arques-walsh*(2m)!!={walsh[m] * dfacts[m]}"
                 )
-        else:
-            raise ValueError(f"unknown method: {method!r}")
-        distinct = _exact_div(connected, dfact, f"connected count at order {m}")
-        rows.append(CountRow(m, _fact(2 * m + 1), _fact(2 * m), connected, distinct))
+    rows = []
+    for m, value in enumerate(connected):
+        distinct = _exact_div(value, dfacts[m], f"connected count at order {m}")
+        rows.append(CountRow(m, _fact(2 * m + 1), _fact(2 * m), value, distinct))
     return rows
 
 
@@ -353,26 +350,21 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
     return report
 
 
-def verify_three_path(
-    m_max: int, *, term_budget: int = DEFAULT_TERM_BUDGET
-) -> VerificationReport:
+def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     connected = connected_sequence(m_max)
+    closed = _closed_form_sequence(m_max)
+    walsh = _arques_walsh_sequence(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
-        report.add(
-            "closed-form-agreement",
-            f"m={m}",
-            connected[m],
-            connected_closed_form(m, term_budget=term_budget),
-        )
+        report.add("closed-form-agreement", f"m={m}", connected[m], closed[m])
         report.add(
             "arques-walsh-agreement",
             f"m={m}",
             connected[m],
-            arques_walsh(m, term_budget=term_budget) * double_factorial(2 * m),
+            walsh[m] * double_factorial(2 * m),
         )
     return report
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from feyncount import cli
 from feyncount.cli import main
 
 
@@ -58,14 +59,18 @@ def test_counts_all_methods_agree(capsys):
     assert out.splitlines()[-1].split()[0] == "12"
 
 
-def test_counts_rejects_blown_term_budget(capsys):
+def test_counts_all_methods_beyond_order_twenty(capsys):
     code, out, err = run(
-        capsys, "counts", "--max-order", "9", "--method", "arques-walsh",
-        "--term-budget", "100",
+        capsys, "counts", "--max-order", "40", "--method", "all", "--format", "csv"
     )
-    assert code == 2
-    assert out == ""
-    assert "term budget" in err and "100" in err
+    assert code == 0
+    assert err == ""
+    _, by_recurrence, _ = run(
+        capsys, "counts", "--max-order", "40", "--method", "recurrence", "--format", "csv"
+    )
+    connected = [line.split(",")[3] for line in out.splitlines()]
+    assert len(connected) == 42
+    assert connected == [line.split(",")[3] for line in by_recurrence.splitlines()]
 
 
 def test_counts_output_is_byte_identical(capsys):
@@ -93,6 +98,21 @@ def test_verify_json(capsys):
         "composition-count", "wick-total", "wick-connected", "wick-vacuum",
         "orbit-count", "orbit-histogram",
     } <= names
+
+
+def test_verify_caps_only_the_coefficient_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_COEFFICIENT_SUITE_CAP", 2)
+    code, out, err = run(capsys, "verify", "--max-order", "4", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+
+    def orders(name):
+        return [c["params"] for c in checks if c["name"] == name]
+
+    assert orders("closed-form-agreement") == [f"m={m}" for m in range(1, 5)]
+    assert orders("arques-walsh-agreement") == [f"m={m}" for m in range(1, 5)]
+    assert orders("coefficient-recursion") == ["s=1 m=1", "s=1 m=2", "s=2 m=2"]
+    assert "capped at order 2" in err
 
 
 def test_verify_rejects_order_zero(capsys):
@@ -196,6 +216,15 @@ def test_compositions_trivial_list(capsys):
     code, out, _ = run(capsys, "compositions", "--n", "1", "--list")
     assert code == 0
     assert out == "1\n"
+
+
+def test_compositions_renders_past_the_int_str_digit_limit(capsys):
+    code, out, err = run(capsys, "compositions", "--n", "20000")
+    assert code == 0
+    assert err == ""
+    digits = out.strip()
+    assert len(digits) == 6021
+    assert int(digits) == 1 << 19999
 
 
 def test_compositions_rejects_zero(capsys):

@@ -4,12 +4,13 @@ Arques-Walsh sum, and the identity suites."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feyncount import counting
-from feyncount.compositions import count_compositions
+from feyncount.compositions import count_compositions, enumerate_compositions
 from feyncount.counting import (
     ExactnessError,
-    TermBudgetError,
     arques_walsh,
     bubble_diagrams,
     coefficient,
@@ -32,6 +33,31 @@ CONNECTED = [1, 4, 80, 3552, 271104]
 CONNECTED_5 = 31342080
 CONNECTED_7 = 1102119137280
 DISTINCT = [1, 2, 10, 74, 706, 8162, 110410, 1708394, 29752066]
+
+
+def _arques_walsh_by_compositions(m):
+    """The paper's signed composition sum, a reference used only by these tests.
+
+    Sums (-1)**(parts-1) * prod_j (2 a_j)!/a_j! over the 2**m compositions
+    of m+1, then divides exactly by 2**(m+1).
+    """
+    total = 0
+    for parts in enumerate_compositions(m + 1):
+        term = 1
+        for a in parts:
+            term *= math.factorial(2 * a) // math.factorial(a)
+        total += term if len(parts) % 2 else -term
+    quotient, remainder = divmod(total, 2 ** (m + 1))
+    assert remainder == 0
+    return quotient
+
+
+def _closed_form_by_coefficients(m):
+    """The closed form as the paper writes it, a reference used only by these tests."""
+    return sum(
+        coefficient(n, m) * (math.factorial(2 * n + 1) - math.factorial(2 * n))
+        for n in range(1, m + 1)
+    )
 
 
 @pytest.mark.parametrize("m,expected", [(0, 1), (1, 6), (4, 362880)])
@@ -135,6 +161,23 @@ def test_arques_walsh_sequence():
     assert [arques_walsh(m) for m in range(9)] == DISTINCT
 
 
+def test_routes_match_composition_sums_to_fourteen():
+    for m in range(15):
+        assert arques_walsh(m) == _arques_walsh_by_compositions(m)
+    for m in range(1, 15):
+        assert connected_closed_form(m) == _closed_form_by_coefficients(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=150))
+def test_three_routes_agree_at_random_orders(m):
+    assert (
+        connected_recurrence(m)
+        == connected_closed_form(m)
+        == arques_walsh(m) * double_factorial(2 * m)
+    )
+
+
 def test_distinct_connected_values():
     assert distinct_connected(0) == 1
     assert distinct_connected(1) == 2
@@ -212,15 +255,6 @@ def test_verify_reports_reject_bad_range():
     ):
         with pytest.raises(ValueError):
             fn(0)
-
-
-def test_term_budget_is_enforced():
-    with pytest.raises(TermBudgetError):
-        arques_walsh(8, term_budget=100)
-    with pytest.raises(TermBudgetError):
-        connected_closed_form(9, term_budget=10)
-    # a sufficient budget lifts the refusal
-    assert arques_walsh(8, term_budget=256) == DISTINCT[8]
 
 
 def test_exact_division_guard():
