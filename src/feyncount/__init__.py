@@ -46,7 +46,6 @@ from .oracle import (
     canonical_form,
     diagram_edges,
     enumerate_matchings,
-    enumerate_vacuum_matchings,
     export_diagram,
     iter_matchings,
     matching_is_connected,
@@ -89,7 +88,6 @@ __all__ = [
     "canonical_form",
     "diagram_edges",
     "enumerate_matchings",
-    "enumerate_vacuum_matchings",
     "export_diagram",
     "iter_matchings",
     "matching_is_connected",

@@ -93,12 +93,7 @@ def _verify_report(max_order: int) -> VerificationReport:
         report.add(
             "wick-connected", f"m={m}", counting.connected_recurrence(m), census.connected
         )
-        report.add(
-            "wick-vacuum",
-            f"m={m}",
-            counting.bubble_diagrams(m),
-            oracle.enumerate_vacuum_matchings(m),
-        )
+        report.add("wick-vacuum", f"m={m}", counting.bubble_diagrams(m), census.vacuum)
         orbits = oracle.orbit_census(m, include_representatives=False)
         report.add("orbit-count", f"m={m}", counting.arques_walsh(m), orbits.orbit_count)
         report.add(
@@ -155,8 +150,11 @@ def _write_dot_files(census: oracle.OrbitCensus, out_dir: Path) -> list[Path]:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     m = args.order
+    if args.dot_dir is not None and m > oracle.DEFAULT_ORDER_CAP:
+        raise OrderCapError(
+            f"DOT export needs the orbit census, capped at order {oracle.DEFAULT_ORDER_CAP}"
+        )
     census = oracle.enumerate_matchings(m, override=args.override)
-    vacuum = oracle.enumerate_vacuum_matchings(m, override=args.override)
     orbits = None
     if m <= oracle.DEFAULT_ORDER_CAP:
         orbits = oracle.orbit_census(m)
@@ -170,7 +168,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         ("order", str(m)),
         ("total", str(census.total)),
         ("connected", str(census.connected)),
-        ("vacuum", str(vacuum)),
+        ("vacuum", str(census.vacuum)),
     ]
     if orbits is not None:
         pairs.append(("orbits", str(orbits.orbit_count)))
@@ -190,7 +188,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "order": m,
             "total": str(census.total),
             "connected": str(census.connected),
-            "vacuum": str(vacuum),
+            "vacuum": str(census.vacuum),
         }
         if orbits is not None:
             payload["orbits"] = str(orbits.orbit_count)
@@ -200,10 +198,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
 
     if args.dot_dir is not None:
-        if orbits is None:
-            raise OrderCapError(
-                f"DOT export needs the orbit census, capped at order {oracle.DEFAULT_ORDER_CAP}"
-            )
         written = _write_dot_files(orbits, Path(args.dot_dir))
         print(f"note: wrote {len(written)} DOT files to {args.dot_dir}", file=sys.stderr)
     return 0

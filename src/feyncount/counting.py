@@ -247,6 +247,20 @@ def count_table(max_order: int, *, method: str = "recurrence") -> list[CountRow]
     return rows
 
 
+def _render(value) -> str:
+    """Exact text of a check value.
+
+    Integers go through `Decimal`, which prints the same digits as `str`
+    but is not subject to CPython's int -> str digit limit.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        # imported here so that processes building no report never load it
+        from decimal import Decimal
+
+        return str(Decimal(value))
+    return str(value)
+
+
 @dataclass(frozen=True)
 class Check:
     """A single named comparison with exact decimal rendering."""
@@ -266,7 +280,7 @@ class VerificationReport:
 
     def add(self, name: str, params: str, expected, actual) -> None:
         self.checks.append(
-            Check(name, params, str(expected), str(actual), expected == actual)
+            Check(name, params, _render(expected), _render(actual), expected == actual)
         )
 
     def extend(self, other: "VerificationReport") -> None:
@@ -307,17 +321,20 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    # each weight either side reads is evaluated directly, once
+    weight = {
+        (s, n): coefficient(s, n)
+        for s in range(1, m_max + 1)
+        for n in range(s, m_max + 2)
+    }
     report = VerificationReport()
     for m in range(1, m_max + 1):
         for s in range(1, m + 1):
-            direct = coefficient(s, m + 1)
             recursed = -sum(
-                math.comb(m + 1, m - n + 1)
-                * _fact(2 * (m - n + 1))
-                * coefficient(s, n)
+                math.comb(m + 1, m - n + 1) * _fact(2 * (m - n + 1)) * weight[s, n]
                 for n in range(s, m + 1)
             )
-            report.add("coefficient-recursion", f"s={s} m={m}", direct, recursed)
+            report.add("coefficient-recursion", f"s={s} m={m}", weight[s, m + 1], recursed)
     return report
 
 

@@ -8,6 +8,12 @@ slots, stored as a tuple p with p[a] = c.  Slot 0 is the external slot
 (X on the annihilation side, Y on the creation side); slots 2i-1 and 2i
 belong to vertex i.
 
+A pairing's cycles trace paths through the multigraph it induces, so
+one walk over slots classifies it: `_vacuum_size` counts the vertices
+cut off from the external points, and 0 means connected.  The census
+tallies every pairing by that number n, the size of its vacuum part,
+which is the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).
+
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
 refused unless explicitly overridden, and the orbit census is never
@@ -55,10 +61,26 @@ class SlotModel:
 
 @dataclass(frozen=True)
 class MatchCensus:
-    """Exhaustive tally of full contractions at one order."""
+    """Exhaustive tally of full contractions at one order.
 
-    total: int
-    connected: int
+    `vacuum_parts[n]` counts the pairings that cut exactly n of the m
+    vertices off from the external points, for n = 0..m.
+    """
+
+    vacuum_parts: tuple[int, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(self.vacuum_parts)
+
+    @property
+    def connected(self) -> int:
+        return self.vacuum_parts[0]
+
+    @property
+    def vacuum(self) -> int:
+        """Pairings contracting X with Y directly: all m vertices form the vacuum."""
+        return self.vacuum_parts[-1]
 
 
 @dataclass(frozen=True)
@@ -143,85 +165,48 @@ def diagram_edges(pairing: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     ]
 
 
-def matching_is_connected(pairing: tuple[int, ...], m: int) -> bool:
-    """Reference connectivity test: every node reachable from X.
+def _vacuum_size(pairing: tuple[int, ...]) -> int:
+    """Number of vertices cut off from X by the pairing; 0 means connected.
 
-    Walks the induced multigraph from the X node; the pairing is
-    connected exactly when the walk covers all m + 2 nodes.
+    Walks slots from slot 0.  Following the pairing from a slot traces
+    its cycle, one contraction after another, and the partner slot at
+    the same vertex (2i-1 and 2i) is pulled in with it.  Slot 0 is X on
+    the annihilation side and Y on the creation side, and its cycle
+    joins them, so X and Y are never apart.
     """
-    n_nodes = m + 2
-    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v in diagram_edges(pairing, m):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {X_NODE}
-    frontier = [X_NODE]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == n_nodes
+    seen = [False] * len(pairing)
+    todo = [0]
+    reached = 0
+    while todo:
+        s = todo.pop()
+        while not seen[s]:
+            seen[s] = True
+            reached += 1
+            if s:
+                todo.append(s + 1 if s & 1 else s - 1)
+            s = pairing[s]
+    return (len(pairing) - reached) // 2
+
+
+def matching_is_connected(pairing: tuple[int, ...], m: int) -> bool:
+    """Whether every node of the induced multigraph is reachable from X."""
+    _validate_pairing(pairing, m)
+    return _vacuum_size(pairing) == 0
 
 
 def enumerate_matchings(
     m: int, *, override: bool = False, first_image: int | None = None
 ) -> MatchCensus:
-    """Count all pairings and the connected ones by exhaustive enumeration.
+    """Tally all pairings by the size of their vacuum part, exhaustively.
 
-    A pairing is connected when the multigraph it induces on the m+2
-    nodes is a single component, equivalently when every node is
-    reachable from X.  The external nodes X and Y can never split apart
-    (each has odd degree 1, and component degree sums are even), which is
-    asserted for every pairing visited.
+    With `first_image`, only that shard of the stream is tallied; the
+    shards' tallies add up to the full one.
     """
     _check_cap(m, override, census=False)
-    model = slot_model(m)
-    ann = model.ann_nodes
-    cre = model.cre_nodes
-    n_nodes = model.node_count
-    slots = range(2 * m + 1)
-    total = 0
-    connected = 0
+    parts = [0] * (m + 1)
     for p in iter_matchings(m, first_image=first_image):
-        total += 1
-        parent = list(range(n_nodes))
-        components = n_nodes
-        for a in slots:
-            x = ann[a]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = cre[p[a]]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-                components -= 1
-        x = X_NODE
-        while parent[x] != x:
-            x = parent[x]
-        y = Y_NODE
-        while parent[y] != y:
-            y = parent[y]
-        assert x == y, f"external nodes split apart in pairing {p}"
-        if components == 1:
-            connected += 1
-    return MatchCensus(total, connected)
-
-
-def enumerate_vacuum_matchings(m: int, *, override: bool = False) -> int:
-    """Count full contractions of the vertex-only string by exhaustion: (2m)!.
-
-    The vacuum slot model drops both external slots, leaving 2m per side.
-    """
-    _check_cap(m, override, census=False)
-    count = 0
-    for _ in itertools.permutations(range(2 * m)):
-        count += 1
-    return count
+        parts[_vacuum_size(p)] += 1
+    return MatchCensus(tuple(parts))
 
 
 @lru_cache(maxsize=None)
@@ -281,32 +266,13 @@ def orbit_census(m: int, *, include_representatives: bool = True) -> OrbitCensus
     sizes, if they ever occurred, would be reported rather than folded in.
     """
     _check_cap(m, False, census=True)
-    model = slot_model(m)
-    ann = model.ann_nodes
-    cre = model.cre_nodes
-    n_nodes = model.node_count
     tables = _symmetry_tables(m)
-    slots = range(2 * m + 1)
     visited: set[tuple[int, ...]] = set()
     sizes: Counter[int] = Counter()
     representatives: list[CanonicalDiagram] = []
     connected = 0
     for p in iter_matchings(m):
-        parent = list(range(n_nodes))
-        components = n_nodes
-        for a in slots:
-            x = ann[a]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = cre[p[a]]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-                components -= 1
-        if components != 1:
+        if _vacuum_size(p):
             continue
         connected += 1
         if p in visited:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from feyncount import cli
+from feyncount import cli, oracle
 from feyncount.cli import main
 
 
@@ -175,6 +175,23 @@ def test_oracle_writes_dot_files(capsys, tmp_path):
         "diagram_m1_1.dot", "diagram_m1_2.dot",
     ]
     assert "wrote 2 DOT files" in err
+
+
+def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
+    capsys, tmp_path, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
+    out_dir = tmp_path / "dots"
+    code, out, err = run(
+        capsys, "oracle", "--order", "5", "--override", "--dot-dir", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert "census" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_export_subcommand(capsys, tmp_path):

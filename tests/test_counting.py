@@ -2,6 +2,7 @@
 Arques-Walsh sum, and the identity suites."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,21 @@ def test_coefficient_recursion_minimal():
     report = verify_coefficient_recursion(1)
     assert report.overall
     assert len(report.checks) == 1
+
+
+def test_report_renders_past_the_int_str_digit_limit():
+    # the CLI lifts the limit for its own process, so restore the default here
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        report = counting.VerificationReport()
+        report.add("x", "", 10**5000, 10**5000)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    (check,) = report.checks
+    assert check.passed
+    assert check.expected == check.actual == "1" + "0" * 5000
 
 
 def test_rewrite_identities_by_hand():

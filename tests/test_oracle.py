@@ -4,6 +4,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feyncount.oracle import (
     DEFAULT_ORDER_CAP,
@@ -13,13 +15,13 @@ from feyncount.oracle import (
     canonical_form,
     diagram_edges,
     enumerate_matchings,
-    enumerate_vacuum_matchings,
     export_diagram,
     iter_matchings,
     matching_is_connected,
     orbit_census,
     slot_model,
     _symmetry_tables,
+    _vacuum_size,
 )
 
 
@@ -39,6 +41,20 @@ def _bfs_component_of_x(pairing, m):
                 seen.add(u)
                 grew = True
     return seen
+
+
+def _act(table, pairing):
+    """Image of a pairing under one group element's slot table."""
+    moved = [0] * len(pairing)
+    for a, c in enumerate(pairing):
+        moved[table[a]] = table[c]
+    return tuple(moved)
+
+
+@st.composite
+def _pairings(draw, max_order):
+    m = draw(st.integers(min_value=1, max_value=max_order))
+    return m, tuple(draw(st.permutations(range(2 * m + 1))))
 
 
 def test_slot_model_shape():
@@ -69,9 +85,15 @@ def test_enumeration_census(m, total, connected):
     assert census.connected == connected
 
 
-@pytest.mark.parametrize("m,expected", [(1, 2), (2, 24), (3, 720)])
-def test_vacuum_census(m, expected):
-    assert enumerate_vacuum_matchings(m) == math.factorial(2 * m) == expected
+_VACUUM_PARTS = {1: (4, 2), 2: (80, 16, 24), 3: (3552, 480, 288, 720)}
+
+
+@pytest.mark.parametrize("m,vacuum", [(1, 2), (2, 24), (3, 720)])
+def test_vacuum_census(m, vacuum):
+    census = enumerate_matchings(m)
+    assert census.vacuum_parts == _VACUUM_PARTS[m]
+    # X contracted with Y leaves the vertex-only string: (2m)! contractions
+    assert census.vacuum == math.factorial(2 * m) == vacuum
 
 
 def test_enumeration_is_exhaustive_and_duplicate_free():
@@ -94,6 +116,13 @@ def test_shards_partition_the_stream():
     assert sum(c.connected for c in totals) == 80
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=3))
+def test_shard_tallies_add_up_to_the_census(m):
+    shards = [enumerate_matchings(m, first_image=c).vacuum_parts for c in range(2 * m + 1)]
+    assert tuple(map(sum, zip(*shards))) == enumerate_matchings(m).vacuum_parts
+
+
 def test_shard_index_out_of_range():
     with pytest.raises(ValueError):
         list(iter_matchings(2, first_image=5))
@@ -114,16 +143,28 @@ def test_diagram_edges_order_one_self_loop():
 
 
 def test_connectivity_matches_independent_reference():
-    model = slot_model(2)
-    n_connected = 0
-    for p in iter_matchings(2):
-        component = _bfs_component_of_x(p, 2)
-        # X and Y can never split apart
-        assert 1 in component
-        reachable_all = len(component) == model.node_count
-        assert matching_is_connected(p, 2) == reachable_all
-        n_connected += reachable_all
-    assert n_connected == enumerate_matchings(2).connected == 80
+    for m in (1, 2, 3):
+        model = slot_model(m)
+        n_connected = 0
+        for p in iter_matchings(m):
+            component = _bfs_component_of_x(p, m)
+            # X and Y can never split apart
+            assert 1 in component
+            assert _vacuum_size(p) == model.node_count - len(component)
+            reachable_all = len(component) == model.node_count
+            assert matching_is_connected(p, m) == reachable_all
+            n_connected += reachable_all
+        assert n_connected == enumerate_matchings(m).connected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairings(max_order=5), st.data())
+def test_vacuum_size_matches_reference_and_is_group_invariant(drawn, data):
+    m, p = drawn
+    size = _vacuum_size(p)
+    assert size == m + 2 - len(_bfs_component_of_x(p, m))
+    table = data.draw(st.sampled_from(_symmetry_tables(m)))
+    assert _vacuum_size(_act(table, p)) == size
 
 
 def test_order_one_connected_classification():
@@ -189,12 +230,16 @@ def test_canonical_form_classifies_orbits():
 def test_canonical_form_invariant_under_group():
     tables = _symmetry_tables(2)
     for diagram in orbit_census(2).representatives:
-        p = diagram.pairing
         for table in tables:
-            moved = [0] * len(p)
-            for a, c in enumerate(p):
-                moved[table[a]] = table[c]
-            assert canonical_form(tuple(moved), 2) == diagram
+            assert canonical_form(_act(table, diagram.pairing), 2) == diagram
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pairings(max_order=4), st.data())
+def test_canonical_form_invariant_under_random_group_element(drawn, data):
+    m, p = drawn
+    table = data.draw(st.sampled_from(_symmetry_tables(m)))
+    assert canonical_form(_act(table, p), m) == canonical_form(p, m)
 
 
 def test_canonical_form_separates_order_one_diagrams():
@@ -215,8 +260,6 @@ def test_canonical_form_validates_input():
 def test_caps():
     with pytest.raises(OrderCapError, match="39916800"):
         enumerate_matchings(DEFAULT_ORDER_CAP + 1)
-    with pytest.raises(OrderCapError):
-        enumerate_vacuum_matchings(DEFAULT_ORDER_CAP + 1)
     with pytest.raises(OrderCapError):
         enumerate_matchings(OVERRIDE_ORDER_CAP + 1, override=True)
     with pytest.raises(OrderCapError):
