@@ -270,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Counts outgrow CPython's default 4300-digit limit on int -> str rendering.
+    # The limit is lifted for this call only; the caller gets its own back.
+    limit = None
     if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
@@ -280,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MethodDisagreementError, ExactnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

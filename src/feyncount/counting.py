@@ -14,6 +14,12 @@ each is evaluated by its own O(m^2) convolution recurrence instead of
 expanding 2**m compositions.  `coefficient` keeps the explicit
 composition sum, the form the paper works through by hand.
 
+The factorials and the recurrence's values are memoised once per process
+in write-once tables, so a per-order query after the first is a lookup.
+The closed-form and Arques-Walsh builders keep no memo and share only the
+factorials, so agreement between the routes still compares independent
+derivations.
+
 All arithmetic is exact; counts are plain Python integers and must never
 pass through floating point.
 """
@@ -34,27 +40,37 @@ class MethodDisagreementError(Exception):
     """Two counting methods produced different values for the same order."""
 
 
-# Factorials dominate every formula here, so they are computed once per
-# session.  Readers index the current table without locking; growth builds an
-# extended copy under the lock and swaps the reference, which keeps the table
-# write-once for concurrent callers.
-_fact_lock = threading.Lock()
+# Factorials dominate every formula here, and each order of the recurrence is
+# built from every lower one, so both are kept in process-global tables that
+# `_grown` extends.  Readers index the current table without locking; growth
+# builds an extended copy under the lock and swaps the reference, which keeps
+# each table write-once for concurrent callers.  The lock is reentrant because
+# growing the recurrence table can grow the factorial table.
+_grow_lock = threading.RLock()
 _fact_table = [1, 1]
+_connected_table = [1]
 
 
-def _fact(n: int) -> int:
-    global _fact_table
-    table = _fact_table
+def _grown(name: str, n: int, step) -> list[int]:
+    """The module table `name`, extended through index n by `step(table, k)`."""
+    table = globals()[name]
     if n < len(table):
-        return table[n]
-    with _fact_lock:
-        table = _fact_table
+        return table
+    with _grow_lock:
+        table = globals()[name]
         if n >= len(table):
             table = list(table)
             for k in range(len(table), n + 1):
-                table.append(table[-1] * k)
-            _fact_table = table
+                table.append(step(table, k))
+            globals()[name] = table
+        return table
+
+
+def _fact(n: int) -> int:
+    table = _fact_table
+    if n < len(table):
         return table[n]
+    return _grown("_fact_table", n, lambda table, k: table[-1] * k)[n]
 
 
 def _check_order(m: int) -> None:
@@ -89,26 +105,30 @@ def double_factorial(k: int) -> int:
     return (1 << half) * _fact(half)
 
 
+def _detach_bubbles(connected: list[int], m: int) -> int:
+    """Order m of the recurrence, from the connected counts of orders below m."""
+    detachable = sum(
+        math.comb(m, n) * _fact(2 * n) * connected[m - n] for n in range(1, m + 1)
+    )
+    return _fact(2 * m + 1) - detachable
+
+
 def connected_sequence(m_max: int) -> list[int]:
     """Connected counts [order 0 .. m_max] by the bubble-subtraction recurrence.
 
     Order m starts from the factorial total and removes every way of
     detaching a non-empty vacuum part: binom(m, n) time-argument choices
-    times (2n)! bubbles times the connected count of what remains.
+    times (2n)! bubbles times the connected count of what remains.  The
+    result is a new list; the memoised values behind it are not exposed.
     """
     _check_order(m_max)
-    connected = [1]
-    for m in range(1, m_max + 1):
-        detachable = sum(
-            math.comb(m, n) * _fact(2 * n) * connected[m - n] for n in range(1, m + 1)
-        )
-        connected.append(_fact(2 * m + 1) - detachable)
-    return connected
+    return _grown("_connected_table", m_max, _detach_bubbles)[: m_max + 1]
 
 
 def connected_recurrence(m: int) -> int:
     """Connected order-m diagram count via the recurrence (the default path)."""
-    return connected_sequence(m)[m]
+    _check_order(m)
+    return _grown("_connected_table", m, _detach_bubbles)[m]
 
 
 def coefficient(n: int, m: int) -> int:

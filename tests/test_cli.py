@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, stream separation."""
 
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -12,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Pin CPython's default 4300-digit int -> str limit for one test."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
 
 
 def test_counts_table(capsys):
@@ -235,13 +246,25 @@ def test_compositions_trivial_list(capsys):
     assert out == "1\n"
 
 
-def test_compositions_renders_past_the_int_str_digit_limit(capsys):
+def test_compositions_renders_past_the_int_str_digit_limit(capsys, default_digit_limit):
     code, out, err = run(capsys, "compositions", "--n", "20000")
     assert code == 0
     assert err == ""
     digits = out.strip()
     assert len(digits) == 6021
-    assert int(digits) == 1 << 19999
+    assert digits == str(Decimal(1 << 19999))
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [(["counts", "--max-order", "1"], 0), (["compositions", "--n", "0"], 2)],
+)
+def test_main_gives_back_the_callers_int_str_digit_limit(
+    capsys, default_digit_limit, argv, expected_code
+):
+    code, _, _ = run(capsys, *argv)
+    assert code == expected_code
+    assert sys.get_int_max_str_digits() == default_digit_limit
 
 
 def test_compositions_rejects_zero(capsys):

@@ -312,18 +312,53 @@ def test_results_are_reproducible():
     assert [arques_walsh(m) for m in range(8)] == [arques_walsh(m) for m in range(8)]
 
 
-def test_factorial_cache_grows_safely_under_threads():
+def test_connected_sequence_returns_a_private_copy():
+    sequence = connected_sequence(5)
+    sequence[3] = 0
+    sequence.append(-1)
+    assert connected_sequence(5) == CONNECTED + [CONNECTED_5]
+    assert distinct_connected(3) == 74
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=12))
+def test_recurrence_memo_is_independent_of_query_order(orders):
+    reference = count_table(max(orders), method="closed-form")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_connected_table", [1])
+        for m in orders:
+            assert distinct_connected(m) == reference[m].distinct
+
+
+def test_factorial_cache_grows_safely_under_threads(monkeypatch):
     import threading
 
-    results = {}
+    monkeypatch.setattr(counting, "_fact_table", [1, 1])
+    monkeypatch.setattr(counting, "_connected_table", [1])
+    factorials = {}
+    connected = {}
 
     def worker(k):
-        results[k] = counting._fact(300 + k)
+        # the recurrence grows the factorials too, racing the direct calls
+        connected[k] = connected_recurrence(40 + 3 * k)
+        factorials[k] = counting._fact(300 + k)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(32)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for k, value in results.items():
-        assert value == math.factorial(300 + k)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    grown = counting._connected_table
+
+    monkeypatch.setattr(counting, "_connected_table", [1])
+    fresh = connected_sequence(40 + 3 * 31)
+    assert grown == fresh
+    for k in range(32):
+        assert factorials[k] == math.factorial(300 + k)
+        assert connected[k] == fresh[40 + 3 * k]
