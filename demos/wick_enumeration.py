@@ -18,7 +18,6 @@ from feyncount import (
     arques_walsh,
     bubble_diagrams,
     connected_sequence,
-    enumerate_matchings,
     export_diagram,
     orbit_census,
     total_diagrams,
@@ -28,14 +27,14 @@ from feyncount import (
 def main():
     print("Exhaustive enumeration versus the formulas:\n")
     for m in range(1, 4):
-        census = enumerate_matchings(m)
+        orbits = orbit_census(m)
+        census = orbits.matches
         connected = connected_sequence(m)
         print(f"order {m}:")
         print(f"  pairings visited   {census.total:>6}   formula (2m+1)!   = {total_diagrams(m)}")
         for n, count in enumerate(census.vacuum_parts):
             predicted = comb(m, n) * bubble_diagrams(n) * connected[m - n]
             print(f"  vacuum part n={n}    {count:>6}   C(m,n)(2n)!c(m-n) = {predicted}")
-        orbits = orbit_census(m)
         print(f"  symmetry orbits    {orbits.orbit_count:>6}   arques-walsh      = {arques_walsh(m)}")
         print(f"  orbit size histogram: {orbits.orbit_sizes}")
         print()

@@ -88,13 +88,13 @@ def _verify_report(max_order: int) -> VerificationReport:
         report.add("composition-count-formula", f"n={n}", 1 << (n - 1), count_compositions(n))
 
     for m in range(1, min(max_order, oracle.DEFAULT_ORDER_CAP) + 1):
-        census = oracle.enumerate_matchings(m)
+        orbits = oracle.orbit_census(m, include_representatives=False)
+        census = orbits.matches
         report.add("wick-total", f"m={m}", counting.total_diagrams(m), census.total)
         report.add(
             "wick-connected", f"m={m}", counting.connected_recurrence(m), census.connected
         )
         report.add("wick-vacuum", f"m={m}", counting.bubble_diagrams(m), census.vacuum)
-        orbits = oracle.orbit_census(m, include_representatives=False)
         report.add("orbit-count", f"m={m}", counting.arques_walsh(m), orbits.orbit_count)
         report.add(
             "orbit-histogram",
@@ -154,11 +154,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise OrderCapError(
             f"DOT export needs the orbit census, capped at order {oracle.DEFAULT_ORDER_CAP}"
         )
-    census = oracle.enumerate_matchings(m, override=args.override)
     orbits = None
     if m <= oracle.DEFAULT_ORDER_CAP:
         orbits = oracle.orbit_census(m)
+        census = orbits.matches
     else:
+        census = oracle.enumerate_matchings(m, override=args.override)
         print(
             f"note: orbit census skipped above order {oracle.DEFAULT_ORDER_CAP}",
             file=sys.stderr,

@@ -14,6 +14,13 @@ cut off from the external points, and 0 means connected.  The census
 tallies every pairing by that number n, the size of its vacuum part,
 which is the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).
 
+`orbit_census` makes that tally and the orbit decomposition in one walk
+over the pairings.  The symmetry group fixes slot 0 and acts transitively
+on the vertex slots 1..2m, and a connected pairing never sends slot 0 to
+slot 0; so every connected orbit meets the shard p[0] == 1, which comes
+first in lexicographic order and holds the orbit's minimum.  Only that
+shard is kept in the set of pairings already seen.
+
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
 refused unless explicitly overridden, and the orbit census is never
@@ -99,6 +106,8 @@ class OrbitCensus:
     orbit_count: int
     orbit_sizes: dict[int, int]
     representatives: tuple[CanonicalDiagram, ...] | None
+    #: Tally of every pairing by vacuum-part size, from the same walk.
+    matches: MatchCensus
 
 
 def slot_model(m: int) -> SlotModel:
@@ -257,38 +266,50 @@ def canonical_form(pairing: tuple[int, ...], m: int) -> CanonicalDiagram:
 def orbit_census(m: int, *, include_representatives: bool = True) -> OrbitCensus:
     """Group the connected pairings into symmetry orbits, exhaustively.
 
-    Pairings are visited in lexicographic order and whole orbits are
-    expanded from the first member encountered, so each kept
-    representative is its orbit's lexicographic minimum (same result as
-    canonicalizing every pairing, at a fraction of the work).  The size
-    histogram records how many orbits have each size; every orbit of a
-    connected pairing is expected to reach the full (2m)!!, but smaller
-    sizes, if they ever occurred, would be reported rather than folded in.
+    One walk over all pairings in lexicographic order serves both
+    results: each pairing is tallied by its vacuum-part size into
+    `matches` (the same tally as `enumerate_matchings(m)`), and whole
+    orbits are expanded from the first connected member encountered, so
+    each kept representative is its orbit's lexicographic minimum (same
+    result as canonicalizing every pairing, at a fraction of the work).
+
+    That first member always has p[0] == 1: the group fixes slot 0 and
+    moves p[0] anywhere in 1..2m, and a connected pairing never has
+    p[0] == 0.  So orbits are expanded only from that shard, and only
+    their images in it are remembered: one in 2m, 48 of 384 at m = 4.
+    The size histogram still records each orbit's full image count;
+    every orbit of a connected pairing is expected to reach (2m)!!, but
+    smaller sizes, if they ever occurred, would be reported rather than
+    folded in.  An orbit missing the shard would go unexpanded, and the
+    sizes would then fall short of the connected count: that raises
+    RuntimeError.
     """
     _check_cap(m, False, census=True)
     tables = _symmetry_tables(m)
+    parts = [0] * (m + 1)
     visited: set[tuple[int, ...]] = set()
     sizes: Counter[int] = Counter()
     representatives: list[CanonicalDiagram] = []
-    connected = 0
     for p in iter_matchings(m):
-        if _vacuum_size(p):
-            continue
-        connected += 1
-        if p in visited:
+        n = _vacuum_size(p)
+        parts[n] += 1
+        if n or p[0] != 1 or p in visited:
             continue
         orbit = {_apply(table, p) for table in tables}
-        visited |= orbit
+        visited.update(q for q in orbit if q[0] == 1)
         sizes[len(orbit)] += 1
         representatives.append(CanonicalDiagram(m, p))
-    assert sum(size * count for size, count in sizes.items()) == connected, (
-        "orbit sizes do not add up to the connected count"
-    )
+    if sum(size * count for size, count in sizes.items()) != parts[0]:
+        raise RuntimeError(
+            f"orbit sizes {dict(sizes)} do not add up to the "
+            f"{parts[0]} connected pairings at order {m}"
+        )
     return OrbitCensus(
         order=m,
         orbit_count=len(representatives),
         orbit_sizes=dict(sorted(sizes.items())),
         representatives=tuple(representatives) if include_representatives else None,
+        matches=MatchCensus(tuple(parts)),
     )
 
 

@@ -100,10 +100,16 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_orbit_structure():
     with _Timer() as t:
+        connected = connected_sequence(4)
         for m in range(1, 5):
             census = orbit_census(m, include_representatives=False)
             assert census.orbit_sizes == {double_factorial(2 * m): census.orbit_count}
             assert census.orbit_count == arques_walsh(m) == DISTINCT_SEQUENCE[m - 1]
+            # the census tallies vacuum parts in the same walk
+            for n in range(m + 1):
+                assert census.matches.vacuum_parts[n] == (
+                    math.comb(m, n) * math.factorial(2 * n) * connected[m - n]
+                ), f"m={m} n={n}"
     _report(6, "every orbit has size (2m)!! and counts = 2, 10, 74, 706", t.elapsed, 300)
 
 

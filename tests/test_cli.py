@@ -195,6 +195,7 @@ def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
         raise AssertionError("enumerated before refusing")
 
     monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
+    monkeypatch.setattr(oracle, "iter_matchings", refuse)
     out_dir = tmp_path / "dots"
     code, out, err = run(
         capsys, "oracle", "--order", "5", "--override", "--dot-dir", str(out_dir)
@@ -203,6 +204,30 @@ def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
     assert out == ""
     assert "census" in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_oracle_and_verify_walk_each_order_once(capsys, monkeypatch):
+    walks = []
+    iter_matchings = oracle.iter_matchings
+
+    def counted(m, **kwargs):
+        walks.append(m)
+        return iter_matchings(m, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_matchings walked the pairings again")
+
+    monkeypatch.setattr(oracle, "iter_matchings", counted)
+    monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
+    code, out, _ = run(capsys, "oracle", "--order", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["connected"] == "3552"
+    assert walks == [3]
+
+    walks.clear()
+    code, _, _ = run(capsys, "verify", "--max-order", "3")
+    assert code == 0
+    assert walks == [1, 2, 3]
 
 
 def test_export_subcommand(capsys, tmp_path):

@@ -1,12 +1,17 @@
 """Brute-force Wick enumeration, connectivity, orbits, and DOT export."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feyncount import oracle
 from feyncount.oracle import (
     DEFAULT_ORDER_CAP,
     OVERRIDE_ORDER_CAP,
@@ -204,6 +209,38 @@ def test_orbit_census_small_orders(m, orbits, size):
     assert total == enumerate_matchings(m).connected
 
 
+def test_orbit_census_tallies_the_same_pass_as_the_enumeration():
+    for m in (1, 2, 3):
+        assert orbit_census(m).matches == enumerate_matchings(m)
+
+
+def test_orbit_census_raises_when_an_orbit_misses_the_first_shard(monkeypatch):
+    # with only the identity acting, orbits outside the p[0] == 1 shard
+    # are never expanded, so the sizes fall short of the connected count
+    monkeypatch.setattr(oracle, "_symmetry_tables", lambda m: (tuple(range(2 * m + 1)),))
+    with pytest.raises(RuntimeError, match="do not add up"):
+        orbit_census(2)
+
+
+def test_orbit_census_raises_under_python_dash_o():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "from feyncount import oracle\n"
+        "oracle._symmetry_tables = lambda m: (tuple(range(2 * m + 1)),)\n"
+        "oracle.orbit_census(2)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "RuntimeError" in result.stderr
+
+
 def test_orbit_census_without_representatives():
     census = orbit_census(2, include_representatives=False)
     assert census.representatives is None
@@ -217,14 +254,17 @@ def test_census_representatives_are_canonical():
 
 
 def test_canonical_form_classifies_orbits():
-    # full per-pairing minimization must produce exactly the census keys
-    reps = {d.pairing for d in orbit_census(2).representatives}
-    forms = {
-        canonical_form(p, 2).pairing
-        for p in iter_matchings(2)
-        if matching_is_connected(p, 2)
-    }
-    assert forms == reps
+    # full per-pairing minimization must produce exactly the census keys,
+    # all in the first-image-1 shard and in lexicographic order
+    for m in (1, 2, 3):
+        reps = [d.pairing for d in orbit_census(m).representatives]
+        assert all(p[0] == 1 for p in reps)
+        forms = {
+            canonical_form(p, m).pairing
+            for p in iter_matchings(m)
+            if matching_is_connected(p, m)
+        }
+        assert reps == sorted(forms)
 
 
 def test_canonical_form_invariant_under_group():
