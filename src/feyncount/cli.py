@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import counting, oracle
-from .compositions import count_compositions, enumerate_compositions
+from .compositions import _Refusal, count_compositions, enumerate_compositions
 from .counting import ExactnessError, MethodDisagreementError, VerificationReport
 from .oracle import OrderCapError
 
@@ -107,7 +107,7 @@ def _verify_report(max_order: int) -> VerificationReport:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_order < 1:
-        raise ValueError(f"--max-order must be >= 1, got {args.max_order}")
+        raise _Refusal(f"--max-order must be >= 1, got {args.max_order}")
     report = _verify_report(args.max_order)
     passed = sum(1 for c in report.checks if c.passed)
     if args.format == "json":
@@ -206,7 +206,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_compositions(args: argparse.Namespace) -> int:
     if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+        raise _Refusal(f"--n must be >= 1, got {args.n}")
     if args.list:
         for parts in enumerate_compositions(args.n):
             print("+".join(str(part) for part in parts))
@@ -278,10 +278,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (OrderCapError, ValueError) as exc:
+    except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MethodDisagreementError, ExactnessError) as exc:
+    except (MethodDisagreementError, ExactnessError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

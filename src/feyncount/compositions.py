@@ -13,6 +13,16 @@ import math
 from collections.abc import Iterator, Mapping
 
 
+# Defined in this module, which imports no other part of the package, so that
+# every module can raise it.
+class _Refusal(ValueError):
+    """An input or a cap was refused before any work started.
+
+    The command line exits 2 for exactly this type.  Any other ValueError
+    is a fault in the program and exits 1.
+    """
+
+
 def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every composition of n exactly once, lazily.
 
@@ -23,7 +33,7 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     composition by convention.
     """
     if n < 0:
-        raise ValueError(f"cannot compose a negative total: {n}")
+        raise _Refusal(f"cannot compose a negative total: {n}")
     if n == 0:
         yield ()
         return
@@ -43,7 +53,7 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
 def count_compositions(n: int) -> int:
     """Number of compositions of n: 2**(n-1), and 1 for the empty n = 0."""
     if n < 0:
-        raise ValueError(f"cannot compose a negative total: {n}")
+        raise _Refusal(f"cannot compose a negative total: {n}")
     return 1 if n == 0 else 1 << (n - 1)
 
 
@@ -56,10 +66,10 @@ def multiset_multiplicity(ms: Mapping[int, int]) -> int:
     weighted total.
     """
     if not ms:
-        raise ValueError("part multiset must be non-empty")
+        raise _Refusal("part multiset must be non-empty")
     for part, mult in ms.items():
         if part < 1 or mult < 1:
-            raise ValueError(f"parts and multiplicities must be >= 1, got {part}: {mult}")
+            raise _Refusal(f"parts and multiplicities must be >= 1, got {part}: {mult}")
     result = math.factorial(sum(ms.values()))
     for mult in ms.values():
         result //= math.factorial(mult)

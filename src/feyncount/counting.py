@@ -14,11 +14,17 @@ each is evaluated by its own O(m^2) convolution recurrence instead of
 expanding 2**m compositions.  `coefficient` keeps the explicit
 composition sum, the form the paper works through by hand.
 
-The factorials and the recurrence's values are memoised once per process
-in write-once tables, so a per-order query after the first is a lookup.
-The closed-form and Arques-Walsh builders keep no memo and share only the
-factorials, so agreement between the routes still compares independent
-derivations.
+The recurrence and the closed form both run on c(m)/m!, the connected
+count divided by m!: the binomials of the recurrence and the falling
+factorials of the closed form cancel, and the operands are about half the
+size.  Each multiplies back by m! before returning, so callers only see
+the counts.
+
+The factorials and the recurrence's scaled values are memoised once per
+process in write-once tables, so a per-order query after the first is a
+lookup.  The closed-form and Arques-Walsh builders keep no memo, and the
+three routes share only the factorials, so agreement between them still
+compares independent computations.
 
 All arithmetic is exact; counts are plain Python integers and must never
 pass through floating point.
@@ -30,7 +36,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .compositions import enumerate_compositions
+from .compositions import _Refusal, enumerate_compositions
 
 class ExactnessError(Exception):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -45,10 +51,11 @@ class MethodDisagreementError(Exception):
 # `_grown` extends.  Readers index the current table without locking; growth
 # builds an extended copy under the lock and swaps the reference, which keeps
 # each table write-once for concurrent callers.  The lock is reentrant because
-# growing the recurrence table can grow the factorial table.
+# growing the recurrence table can grow the factorial table.  The recurrence
+# table holds c(m)/m!, not c(m); see `_detach_bubbles`.
 _grow_lock = threading.RLock()
 _fact_table = [1, 1]
-_connected_table = [1]
+_connected_over_fact_table = [1]
 
 
 def _grown(name: str, n: int, step) -> list[int]:
@@ -75,7 +82,7 @@ def _fact(n: int) -> int:
 
 def _check_order(m: int) -> None:
     if m < 0:
-        raise ValueError(f"perturbation order must be >= 0, got {m}")
+        raise _Refusal(f"perturbation order must be >= 0, got {m}")
 
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -100,17 +107,28 @@ def bubble_diagrams(m: int) -> int:
 def double_factorial(k: int) -> int:
     """k!! = 2*4*...*k for even k >= 0; the symmetry-group order at k = 2m."""
     if k < 0 or k % 2:
-        raise ValueError(f"only even non-negative arguments arise here, got {k}")
+        raise _Refusal(f"only even non-negative arguments arise here, got {k}")
     half = k // 2
     return (1 << half) * _fact(half)
 
 
-def _detach_bubbles(connected: list[int], m: int) -> int:
-    """Order m of the recurrence, from the connected counts of orders below m."""
-    detachable = sum(
-        math.comb(m, n) * _fact(2 * n) * connected[m - n] for n in range(1, m + 1)
-    )
-    return _fact(2 * m + 1) - detachable
+def _detach_bubbles(scaled: list[int], m: int) -> int:
+    """Order m of the recurrence on d = c/m!, from d at the orders below m.
+
+    Dividing (2m+1)! = sum_n binom(m, n) (2n)! c(m-n) through by m! gives
+    d(m) = (2m+1)!/m! - sum_{n=1..m} (2n)!/n! * d(m-n), with no binomials.
+    """
+    # The scale is m! and not (2m)!!.  Over (2m)!! each term would become
+    # (2n-1)!! times the distinct count at m-n, which is the paper's identity:
+    # this loop would then be `_arques_walsh_sequence` term for term, and the
+    # two routes one computation.  Over m! the operands stay 2**m times those,
+    # built from the factorial table and the 4n-2 kernel instead.
+    detachable = 0
+    kernel = 1  # (2n)!/n!
+    for n in range(1, m + 1):
+        kernel *= 4 * n - 2
+        detachable += kernel * scaled[m - n]
+    return _fact(2 * m + 1) // _fact(m) - detachable
 
 
 def connected_sequence(m_max: int) -> list[int]:
@@ -122,13 +140,14 @@ def connected_sequence(m_max: int) -> list[int]:
     result is a new list; the memoised values behind it are not exposed.
     """
     _check_order(m_max)
-    return _grown("_connected_table", m_max, _detach_bubbles)[: m_max + 1]
+    scaled = _grown("_connected_over_fact_table", m_max, _detach_bubbles)
+    return [_fact(m) * scaled[m] for m in range(m_max + 1)]
 
 
 def connected_recurrence(m: int) -> int:
     """Connected order-m diagram count via the recurrence (the default path)."""
     _check_order(m)
-    return _grown("_connected_table", m, _detach_bubbles)[m]
+    return _fact(m) * _grown("_connected_over_fact_table", m, _detach_bubbles)[m]
 
 
 def coefficient(n: int, m: int) -> int:
@@ -140,7 +159,7 @@ def coefficient(n: int, m: int) -> int:
     """
     _check_order(m)
     if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+        raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
     if n == m:
         return 1
     fact_m = _fact(m)
@@ -163,22 +182,20 @@ def _closed_form_sequence(m_max: int) -> list[int]:
     The composition sum in `coefficient(n, m)` factors as m!/n! * g(m-n),
     where g(k) sums (-1)**parts * prod_j (2 a_j)!/a_j! over compositions
     of k.  Those g(k) are the coefficients of 1 / (1 + sum_a (2a)!/a! x**a),
-    so g(0) = 1 and g(k) = -sum_{a=1..k} (2a)!/a! * g(k-a).
+    so g(0) = 1 and g(k) = -sum_{a=1..k} (2a)!/a! * g(k-a).  As
+    (2n+1)! - (2n)! = 2n (2n)!, the count over m! is then the convolution
+    c(m)/m! = sum_{n=1..m} g(m-n) * 2n (2n)!/n!.
     """
     _check_order(m_max)
-    ratio = [_fact(2 * a) // _fact(a) for a in range(m_max)]
+    ratio = [_fact(2 * a) // _fact(a) for a in range(m_max + 1)]
     g = [1]
     for k in range(1, m_max):
         g.append(-sum(ratio[a] * g[k - a] for a in range(1, k + 1)))
-    excess = [_fact(2 * n + 1) - _fact(2 * n) for n in range(m_max + 1)]
+    excess = [2 * n * ratio[n] for n in range(m_max + 1)]  # ((2n+1)! - (2n)!)/n!
     connected = [1]
     for m in range(1, m_max + 1):
-        total = 0
-        falling = 1  # m!/n!
-        for n in range(m, 0, -1):
-            total += falling * g[m - n] * excess[n]
-            falling *= n
-        connected.append(total)
+        scaled = sum(g[m - n] * excess[n] for n in range(1, m + 1))
+        connected.append(_fact(m) * scaled)
     return connected
 
 
@@ -250,7 +267,7 @@ def count_table(max_order: int, *, method: str = "recurrence") -> list[CountRow]
     elif method == "arques-walsh":
         connected = [d * f for d, f in zip(_arques_walsh_sequence(max_order), dfacts)]
     else:
-        raise ValueError(f"unknown method: {method!r}")
+        raise _Refusal(f"unknown method: {method!r}")
     if method == "all":
         closed = _closed_form_sequence(max_order)
         walsh = _arques_walsh_sequence(max_order)
@@ -321,7 +338,7 @@ def verify_convolution(m_max: int) -> VerificationReport:
     in the uninverted direction as an independent consistency pass.
     """
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise _Refusal(f"m_max must be >= 1, got {m_max}")
     connected = connected_sequence(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
@@ -340,7 +357,7 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     Failing pairs are reported, not raised.
     """
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise _Refusal(f"m_max must be >= 1, got {m_max}")
     # each weight either side reads is evaluated directly, once
     weight = {
         (s, n): coefficient(s, n)
@@ -365,7 +382,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
     bubble(n) = bubble(1) * bubble(n) / 2, both with exact division.
     """
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise _Refusal(f"m_max must be >= 1, got {m_max}")
     report = VerificationReport()
     for n in range(1, m_max + 1):
         numerator = _fact(n) * bubble_diagrams(n + 1)
@@ -390,7 +407,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
 def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise _Refusal(f"m_max must be >= 1, got {m_max}")
     connected = connected_sequence(m_max)
     closed = _closed_form_sequence(m_max)
     walsh = _arques_walsh_sequence(m_max)
@@ -409,7 +426,7 @@ def verify_three_path(m_max: int) -> VerificationReport:
 def verify_divisibility(m_max: int) -> VerificationReport:
     """Check that (2m)!! divides the connected count exactly for 1 <= m <= m_max."""
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise _Refusal(f"m_max must be >= 1, got {m_max}")
     connected = connected_sequence(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):

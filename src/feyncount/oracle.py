@@ -36,6 +36,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .compositions import _Refusal
+
 #: Largest order enumerated without an explicit override.
 DEFAULT_ORDER_CAP = 4
 #: Absolute ceiling; above this even an override is refused.
@@ -45,7 +47,7 @@ X_NODE = 0
 Y_NODE = 1
 
 
-class OrderCapError(Exception):
+class OrderCapError(_Refusal):
     """Requested order exceeds the enumeration cap."""
 
 
@@ -113,14 +115,14 @@ class OrbitCensus:
 def slot_model(m: int) -> SlotModel:
     """Slot layout for order m: 2m+1 slots per side, two per vertex plus one external."""
     if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+        raise _Refusal(f"order must be >= 1, got {m}")
     vertex_nodes = tuple(1 + (s + 1) // 2 for s in range(1, 2 * m + 1))
     return SlotModel(m, (X_NODE,) + vertex_nodes, (Y_NODE,) + vertex_nodes)
 
 
 def _check_cap(m: int, override: bool, *, census: bool) -> None:
     if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+        raise _Refusal(f"order must be >= 1, got {m}")
     if m <= DEFAULT_ORDER_CAP:
         return
     pairings = math.factorial(2 * m + 1)
@@ -154,7 +156,7 @@ def iter_matchings(m: int, *, first_image: int | None = None) -> Iterator[tuple[
         yield from itertools.permutations(range(n))
         return
     if not 0 <= first_image < n:
-        raise ValueError(f"first_image must be a creation slot index, got {first_image}")
+        raise _Refusal(f"first_image must be a creation slot index, got {first_image}")
     rest = [c for c in range(n) if c != first_image]
     head = (first_image,)
     for tail in itertools.permutations(rest):
@@ -249,7 +251,7 @@ def _apply(table: tuple[int, ...], pairing: tuple[int, ...]) -> tuple[int, ...]:
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
     n = 2 * m + 1
     if len(pairing) != n or sorted(pairing) != list(range(n)):
-        raise ValueError(f"not a bijection on {n} slots: {pairing}")
+        raise _Refusal(f"not a bijection on {n} slots: {pairing}")
 
 
 def canonical_form(pairing: tuple[int, ...], m: int) -> CanonicalDiagram:

@@ -1,13 +1,20 @@
 """Command-line behavior: formats, exit codes, stream separation."""
 
+import hashlib
 import json
 import sys
 from decimal import Decimal
 
 import pytest
 
-from feyncount import cli, oracle
+from feyncount import cli, counting, oracle
 from feyncount.cli import main
+
+# sha256 of `counts --max-order 300` stdout as the unscaled recurrence printed it
+COUNTS_300_SHA256 = {
+    "csv": "cd3acea571c96cabd44fec04e6ec4477865a33890b11ed8fee5f8ba5f6585728",
+    "bfile": "aaf42cbe1c948809d3a2918842d727ff1d612c932c257069cdc75facbdfc6366",
+}
 
 
 def run(capsys, *argv):
@@ -82,6 +89,16 @@ def test_counts_all_methods_beyond_order_twenty(capsys):
     connected = [line.split(",")[3] for line in out.splitlines()]
     assert len(connected) == 42
     assert connected == [line.split(",")[3] for line in by_recurrence.splitlines()]
+
+
+@pytest.mark.parametrize("fmt", sorted(COUNTS_300_SHA256))
+def test_counts_stdout_is_the_same_for_every_method_at_order_300(capsys, fmt):
+    for method in ("recurrence", "closed-form", "arques-walsh", "all"):
+        code, out, err = run(
+            capsys, "counts", "--max-order", "300", "--method", method, "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == COUNTS_300_SHA256[fmt], method
 
 
 def test_counts_output_is_byte_identical(capsys):
@@ -296,6 +313,18 @@ def test_compositions_rejects_zero(capsys):
     code, _, err = run(capsys, "compositions", "--n", "0")
     assert code == 2
     assert "error" in err
+
+
+def test_internal_value_error_is_not_reported_as_a_refusal(capsys, monkeypatch):
+    def broken(scaled, m):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(counting, "_connected_over_fact_table", [1])
+    monkeypatch.setattr(counting, "_detach_bubbles", broken)
+    code, out, err = run(capsys, "counts", "--max-order", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal fault\n"
 
 
 def test_missing_subcommand_is_usage_error():

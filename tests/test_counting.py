@@ -53,6 +53,27 @@ def _arques_walsh_by_compositions(m):
     return quotient
 
 
+def _even_product(k):
+    """k!! = 2*4*...*k for even k, by direct product."""
+    return math.prod(range(2, k + 1, 2))
+
+
+def _connected_by_binomials(m_max):
+    """The unscaled recurrence, a reference used only by these tests.
+
+    c(m) = (2m+1)! - sum_{n=1..m} binom(m, n) (2n)! c(m-n), on the full
+    counts, with no division by m!.
+    """
+    connected = [1]
+    for m in range(1, m_max + 1):
+        detachable = sum(
+            math.comb(m, n) * math.factorial(2 * n) * connected[m - n]
+            for n in range(1, m + 1)
+        )
+        connected.append(math.factorial(2 * m + 1) - detachable)
+    return connected
+
+
 def _closed_form_by_coefficients(m):
     """The closed form as the paper writes it, a reference used only by these tests."""
     return sum(
@@ -177,6 +198,35 @@ def test_three_routes_agree_at_random_orders(m):
         == connected_closed_form(m)
         == arques_walsh(m) * double_factorial(2 * m)
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=200))
+def test_scaled_recurrence_matches_the_unscaled_one(m):
+    reference = _connected_by_binomials(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_connected_over_fact_table", [1])
+        assert connected_recurrence(m) == reference[m]
+        mp.setattr(counting, "_connected_over_fact_table", [1])
+        assert connected_sequence(m) == reference
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=1000).flatmap(
+        lambda m: st.tuples(st.integers(min_value=0, max_value=m), st.just(m))
+    )
+)
+def test_binomial_terms_over_the_group_order_are_odd_double_factorials(nm):
+    # the paper's equivalence, term by term:
+    # C(m,n) (2n)! (2(m-n))!! / (2m)!! = (2n-1)!!
+    n, m = nm
+    quotient, remainder = divmod(
+        math.comb(m, n) * math.factorial(2 * n) * _even_product(2 * (m - n)),
+        _even_product(2 * m),
+    )
+    assert remainder == 0
+    assert quotient == math.prod(range(1, 2 * n, 2))
 
 
 def test_distinct_connected_values():
@@ -325,7 +375,7 @@ def test_connected_sequence_returns_a_private_copy():
 def test_recurrence_memo_is_independent_of_query_order(orders):
     reference = count_table(max(orders), method="closed-form")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_connected_table", [1])
+        mp.setattr(counting, "_connected_over_fact_table", [1])
         for m in orders:
             assert distinct_connected(m) == reference[m].distinct
 
@@ -334,7 +384,7 @@ def test_factorial_cache_grows_safely_under_threads(monkeypatch):
     import threading
 
     monkeypatch.setattr(counting, "_fact_table", [1, 1])
-    monkeypatch.setattr(counting, "_connected_table", [1])
+    monkeypatch.setattr(counting, "_connected_over_fact_table", [1])
     factorials = {}
     connected = {}
 
@@ -354,11 +404,14 @@ def test_factorial_cache_grows_safely_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(previous)
     assert not any(t.is_alive() for t in threads)
-    grown = counting._connected_table
+    grown = counting._connected_over_fact_table
 
-    monkeypatch.setattr(counting, "_connected_table", [1])
+    monkeypatch.setattr(counting, "_connected_over_fact_table", [1])
     fresh = connected_sequence(40 + 3 * 31)
-    assert grown == fresh
+    # the table holds c(m)/m!, each an exact quotient of the fresh count
+    assert len(grown) == len(fresh)
+    for m, (scaled, count) in enumerate(zip(grown, fresh)):
+        assert divmod(count, math.factorial(m)) == (scaled, 0)
     for k in range(32):
         assert factorials[k] == math.factorial(300 + k)
         assert connected[k] == fresh[40 + 3 * k]

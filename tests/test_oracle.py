@@ -306,6 +306,9 @@ def test_caps():
         orbit_census(DEFAULT_ORDER_CAP + 1)
     with pytest.raises(ValueError):
         enumerate_matchings(0)
+    # a cap refusal is an input refusal, so callers catching ValueError see it
+    with pytest.raises(ValueError):
+        orbit_census(DEFAULT_ORDER_CAP + 1)
 
 
 def test_export_first_order_one_diagram():
