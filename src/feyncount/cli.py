@@ -88,7 +88,7 @@ def _verify_report(max_order: int) -> VerificationReport:
         report.add("composition-count-formula", f"n={n}", 1 << (n - 1), count_compositions(n))
 
     for m in range(1, min(max_order, oracle.DEFAULT_ORDER_CAP) + 1):
-        orbits = oracle.orbit_census(m, include_representatives=False)
+        orbits = oracle.orbit_census(m)
         census = orbits.matches
         report.add("wick-total", f"m={m}", counting.total_diagrams(m), census.total)
         report.add(

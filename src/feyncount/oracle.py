@@ -14,12 +14,14 @@ cut off from the external points, and 0 means connected.  The census
 tallies every pairing by that number n, the size of its vacuum part,
 which is the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).
 
-`orbit_census` makes that tally and the orbit decomposition in one walk
-over the pairings.  The symmetry group fixes slot 0 and acts transitively
-on the vertex slots 1..2m, and a connected pairing never sends slot 0 to
-slot 0; so every connected orbit meets the shard p[0] == 1, which comes
-first in lexicographic order and holds the orbit's minimum.  Only that
-shard is kept in the set of pairings already seen.
+`canonical_form` names a diagram by one relabelling walk from slot 0:
+each vertex takes the next label when a contraction first reaches it,
+and the slot reached becomes its unprimed point, which builds the
+orbit's lexicographic minimum directly.  `orbit_census` makes the vacuum
+tally and the orbit decomposition in one walk over the pairings: it
+relabels only the connected pairings with p[0] == 1, and since the
+symmetry group moves p[0] transitively over 1..2m, one in 2m of every
+orbit's members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
@@ -34,7 +36,6 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .compositions import _Refusal
 
@@ -94,7 +95,10 @@ class MatchCensus:
 
 @dataclass(frozen=True)
 class CanonicalDiagram:
-    """Orbit representative: the lexicographically minimal pairing."""
+    """Orbit representative: the lexicographically minimal pairing.
+
+    Orbits are taken under the (2m)!! vertex relabellings and point swaps.
+    """
 
     order: int
     pairing: tuple[int, ...]
@@ -107,30 +111,32 @@ class OrbitCensus:
     order: int
     orbit_count: int
     orbit_sizes: dict[int, int]
-    representatives: tuple[CanonicalDiagram, ...] | None
+    representatives: tuple[CanonicalDiagram, ...]
     #: Tally of every pairing by vacuum-part size, from the same walk.
     matches: MatchCensus
 
 
-def slot_model(m: int) -> SlotModel:
-    """Slot layout for order m: 2m+1 slots per side, two per vertex plus one external."""
+def _check_order(m: int) -> None:
     if m < 1:
         raise _Refusal(f"order must be >= 1, got {m}")
+
+
+def slot_model(m: int) -> SlotModel:
+    """Slot layout for order m: 2m+1 slots per side, two per vertex plus one external."""
+    _check_order(m)
     vertex_nodes = tuple(1 + (s + 1) // 2 for s in range(1, 2 * m + 1))
     return SlotModel(m, (X_NODE,) + vertex_nodes, (Y_NODE,) + vertex_nodes)
 
 
 def _check_cap(m: int, override: bool, *, census: bool) -> None:
-    if m < 1:
-        raise _Refusal(f"order must be >= 1, got {m}")
+    _check_order(m)
     if m <= DEFAULT_ORDER_CAP:
         return
     pairings = math.factorial(2 * m + 1)
     if census:
-        group = (1 << m) * math.factorial(m)
         raise OrderCapError(
-            f"orbit census at order {m} would act on {pairings} pairings with "
-            f"{group} group elements each; the census cap is {DEFAULT_ORDER_CAP}"
+            f"orbit census at order {m} would classify (2m+1)! = {pairings} pairings; "
+            f"the census cap is {DEFAULT_ORDER_CAP}"
         )
     if m > OVERRIDE_ORDER_CAP:
         raise OrderCapError(
@@ -151,6 +157,7 @@ def iter_matchings(m: int, *, first_image: int | None = None) -> Iterator[tuple[
     creation slot c are produced; the 2m+1 shards partition the full
     stream and concatenating them in ascending c reproduces it exactly.
     """
+    _check_order(m)
     n = 2 * m + 1
     if first_image is None:
         yield from itertools.permutations(range(n))
@@ -220,87 +227,78 @@ def enumerate_matchings(
     return MatchCensus(tuple(parts))
 
 
-@lru_cache(maxsize=None)
-def _symmetry_tables(m: int) -> tuple[tuple[int, ...], ...]:
-    """Slot-permutation table per group element.
-
-    The group combines vertex relabelings with per-vertex swaps of the
-    primed and unprimed points, order 2**m * m! = (2m)!!.  External slot
-    0 is always fixed; the same table applies to both slot sides.
-    """
-    tables = []
-    for relabel in itertools.permutations(range(1, m + 1)):
-        for flips in range(1 << m):
-            table = [0] * (2 * m + 1)
-            for i in range(1, m + 1):
-                j = relabel[i - 1]
-                flip = (flips >> (i - 1)) & 1
-                table[2 * i - 1] = 2 * j - 1 + flip
-                table[2 * i] = 2 * j - flip
-            tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _apply(table: tuple[int, ...], pairing: tuple[int, ...]) -> tuple[int, ...]:
-    moved = [0] * len(pairing)
-    for a, c in enumerate(pairing):
-        moved[table[a]] = table[c]
-    return tuple(moved)
-
-
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
+    _check_order(m)
     n = 2 * m + 1
     if len(pairing) != n or sorted(pairing) != list(range(n)):
         raise _Refusal(f"not a bijection on {n} slots: {pairing}")
+
+
+def _relabelled(pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)) -> tuple[int, ...]:
+    """Least image of the pairing under vertex relabellings and point swaps.
+
+    `queue` holds the old slots in the order of their new numbers.  The
+    walk follows each queued slot's contraction; one that reaches a vertex
+    not yet numbered gives it the next label k, the slot reached becoming
+    its unprimed point 2k-1, and queues both its slots.  Every new number
+    is thus the least still free, so the image is the orbit's minimum.
+    When X's component is used up with vertices left, each unnumbered
+    slot is tried as the next root and the least result is kept.
+    """
+    queue = list(queue)
+    new = {s: i for i, s in enumerate(queue)}
+    for s in queue:
+        c = pairing[s]
+        if c not in new:
+            partner = c + 1 if c & 1 else c - 1
+            new[c], new[partner] = len(queue), len(queue) + 1
+            queue += (c, partner)
+    if len(queue) == len(pairing):
+        return tuple(new[pairing[s]] for s in queue)
+    return min(
+        _relabelled(pairing, (*queue, s, s + 1 if s & 1 else s - 1))
+        for s in range(1, len(pairing))
+        if s not in new
+    )
 
 
 def canonical_form(pairing: tuple[int, ...], m: int) -> CanonicalDiagram:
     """Lexicographic minimum of the pairing's orbit under the (2m)!! group.
 
     Two pairings have equal canonical forms exactly when some relabeling
-    and point swap carries one onto the other.
+    and point swap carries one onto the other.  One walk from slot 0 builds
+    the minimum in O(m) steps for a connected pairing; a disconnected one
+    branches over the root of each vacuum part.
     """
     _validate_pairing(pairing, m)
-    best = min(_apply(table, pairing) for table in _symmetry_tables(m))
-    return CanonicalDiagram(m, best)
+    return CanonicalDiagram(m, _relabelled(pairing))
 
 
-def orbit_census(m: int, *, include_representatives: bool = True) -> OrbitCensus:
+def orbit_census(m: int) -> OrbitCensus:
     """Group the connected pairings into symmetry orbits, exhaustively.
 
-    One walk over all pairings in lexicographic order serves both
-    results: each pairing is tallied by its vacuum-part size into
-    `matches` (the same tally as `enumerate_matchings(m)`), and whole
-    orbits are expanded from the first connected member encountered, so
-    each kept representative is its orbit's lexicographic minimum (same
-    result as canonicalizing every pairing, at a fraction of the work).
+    One walk over all pairings serves both results: each pairing is
+    tallied by its vacuum-part size into `matches` (the same tally as
+    `enumerate_matchings(m)`), and each connected pairing with p[0] == 1
+    is relabelled to its orbit's minimum and counted under it.  The sorted
+    minima are the representatives.
 
-    That first member always has p[0] == 1: the group fixes slot 0 and
-    moves p[0] anywhere in 1..2m, and a connected pairing never has
-    p[0] == 0.  So orbits are expanded only from that shard, and only
-    their images in it are remembered: one in 2m, 48 of 384 at m = 4.
-    The size histogram still records each orbit's full image count;
-    every orbit of a connected pairing is expected to reach (2m)!!, but
-    smaller sizes, if they ever occurred, would be reported rather than
-    folded in.  An orbit missing the shard would go unexpanded, and the
-    sizes would then fall short of the connected count: that raises
-    RuntimeError.
+    A connected pairing never has p[0] == 0, and the group moves p[0]
+    transitively over 1..2m, so an orbit has equally many members at each
+    value of p[0]: its size is 2m times its count in the shard.  Every
+    orbit is expected to reach (2m)!!, but smaller sizes would be reported
+    rather than folded in.  Sizes that do not add up to the connected
+    count mean the stream was incomplete: that raises RuntimeError.
     """
     _check_cap(m, False, census=True)
-    tables = _symmetry_tables(m)
     parts = [0] * (m + 1)
-    visited: set[tuple[int, ...]] = set()
-    sizes: Counter[int] = Counter()
-    representatives: list[CanonicalDiagram] = []
+    shard: Counter[tuple[int, ...]] = Counter()
     for p in iter_matchings(m):
         n = _vacuum_size(p)
         parts[n] += 1
-        if n or p[0] != 1 or p in visited:
-            continue
-        orbit = {_apply(table, p) for table in tables}
-        visited.update(q for q in orbit if q[0] == 1)
-        sizes[len(orbit)] += 1
-        representatives.append(CanonicalDiagram(m, p))
+        if not n and p[0] == 1:
+            shard[_relabelled(p)] += 1
+    sizes = Counter(2 * m * count for count in shard.values())
     if sum(size * count for size, count in sizes.items()) != parts[0]:
         raise RuntimeError(
             f"orbit sizes {dict(sizes)} do not add up to the "
@@ -308,9 +306,9 @@ def orbit_census(m: int, *, include_representatives: bool = True) -> OrbitCensus
         )
     return OrbitCensus(
         order=m,
-        orbit_count=len(representatives),
+        orbit_count=len(shard),
         orbit_sizes=dict(sorted(sizes.items())),
-        representatives=tuple(representatives) if include_representatives else None,
+        representatives=tuple(CanonicalDiagram(m, p) for p in sorted(shard)),
         matches=MatchCensus(tuple(parts)),
     )
 

@@ -102,8 +102,9 @@ def test_criterion_06_orbit_structure():
     with _Timer() as t:
         connected = connected_sequence(4)
         for m in range(1, 5):
-            census = orbit_census(m, include_representatives=False)
+            census = orbit_census(m)
             assert census.orbit_sizes == {double_factorial(2 * m): census.orbit_count}
+            assert len(census.representatives) == census.orbit_count
             assert census.orbit_count == arques_walsh(m) == DISTINCT_SEQUENCE[m - 1]
             # the census tallies vacuum parts in the same walk
             for n in range(m + 1):

@@ -15,6 +15,9 @@ COUNTS_300_SHA256 = {
     "csv": "cd3acea571c96cabd44fec04e6ec4477865a33890b11ed8fee5f8ba5f6585728",
     "bfile": "aaf42cbe1c948809d3a2918842d727ff1d612c932c257069cdc75facbdfc6366",
 }
+# sha256 over the DOT files of `export --order 4` in name order (name, NUL,
+# bytes, NUL per file) as the group-expanding orbit census wrote them
+EXPORT_4_DOT_SHA256 = "b0c42b36b17a4a2de77c4988af7a4f0abb1040b39e5e14781ed421acc2002471"
 
 
 def run(capsys, *argv):
@@ -259,6 +262,16 @@ def test_export_subcommand(capsys, tmp_path):
     # re-running produces identical bytes
     run(capsys, "export", "--order", "2", "--out-dir", str(out_dir))
     assert (out_dir / "diagram_m2_1.dot").read_text() == first
+
+
+def test_export_order_four_dot_files_are_pinned(capsys, tmp_path):
+    code, out, _ = run(capsys, "export", "--order", "4", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert out == f"wrote 706 DOT files to {tmp_path}\n"
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == EXPORT_4_DOT_SHA256
 
 
 def test_export_respects_census_cap(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Brute-force Wick enumeration, connectivity, orbits, and DOT export."""
 
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feyncount import oracle
+from feyncount.compositions import _Refusal
 from feyncount.oracle import (
     DEFAULT_ORDER_CAP,
     OVERRIDE_ORDER_CAP,
@@ -25,7 +28,6 @@ from feyncount.oracle import (
     matching_is_connected,
     orbit_census,
     slot_model,
-    _symmetry_tables,
     _vacuum_size,
 )
 
@@ -48,12 +50,35 @@ def _bfs_component_of_x(pairing, m):
     return seen
 
 
+@functools.cache
+def _group(m):
+    """Slot table per vertex relabelling combined with point swaps, (2m)!! in all.
+
+    Slot 0 is fixed; the same table applies to both slot sides.  This is
+    the reference group that the relabelling walk is checked against.
+    """
+    tables = []
+    for relabel in itertools.permutations(range(1, m + 1)):
+        for flips in range(1 << m):
+            table = [0] * (2 * m + 1)
+            for i, j in enumerate(relabel, start=1):
+                flip = (flips >> (i - 1)) & 1
+                table[2 * i - 1] = 2 * j - 1 + flip
+                table[2 * i] = 2 * j - flip
+            tables.append(tuple(table))
+    return tuple(tables)
+
+
 def _act(table, pairing):
     """Image of a pairing under one group element's slot table."""
     moved = [0] * len(pairing)
     for a, c in enumerate(pairing):
         moved[table[a]] = table[c]
     return tuple(moved)
+
+
+def _group_minimum(pairing, m):
+    return min(_act(table, pairing) for table in _group(m))
 
 
 @st.composite
@@ -78,6 +103,17 @@ def test_slot_model_shape():
 def test_slot_model_rejects_order_zero():
     with pytest.raises(ValueError):
         slot_model(0)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_pairing_entry_points_refuse_orders_below_one(m):
+    identity = tuple(range(2 * m + 1))
+    with pytest.raises(_Refusal, match="order must be >= 1"):
+        list(iter_matchings(m))
+    with pytest.raises(_Refusal, match="order must be >= 1"):
+        canonical_form(identity, m)
+    with pytest.raises(_Refusal, match="order must be >= 1"):
+        matching_is_connected(identity, m)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +204,7 @@ def test_vacuum_size_matches_reference_and_is_group_invariant(drawn, data):
     m, p = drawn
     size = _vacuum_size(p)
     assert size == m + 2 - len(_bfs_component_of_x(p, m))
-    table = data.draw(st.sampled_from(_symmetry_tables(m)))
+    table = data.draw(st.sampled_from(_group(m)))
     assert _vacuum_size(_act(table, p)) == size
 
 
@@ -182,7 +218,7 @@ def test_order_one_connected_classification():
 
 def test_symmetry_tables_form_the_full_group():
     for m in range(1, 5):
-        tables = _symmetry_tables(m)
+        tables = _group(m)
         assert len(tables) == len(set(tables)) == 2 ** m * math.factorial(m)
         for table in tables:
             assert table[0] == 0
@@ -214,10 +250,18 @@ def test_orbit_census_tallies_the_same_pass_as_the_enumeration():
         assert orbit_census(m).matches == enumerate_matchings(m)
 
 
-def test_orbit_census_raises_when_an_orbit_misses_the_first_shard(monkeypatch):
-    # with only the identity acting, orbits outside the p[0] == 1 shard
-    # are never expanded, so the sizes fall short of the connected count
-    monkeypatch.setattr(oracle, "_symmetry_tables", lambda m: (tuple(range(2 * m + 1)),))
+#: A connected order-2 pairing outside the p[0] == 1 shard.
+_DROPPED = (2, 0, 3, 1, 4)
+
+
+def test_orbit_census_raises_when_a_pairing_goes_missing(monkeypatch):
+    # the shard counts are untouched, so 2m times them overshoots the
+    # connected tally by the one pairing lost from the stream
+    assert matching_is_connected(_DROPPED, 2) and _DROPPED[0] != 1
+    pairings = oracle.iter_matchings
+    monkeypatch.setattr(
+        oracle, "iter_matchings", lambda m: (p for p in pairings(m) if p != _DROPPED)
+    )
     with pytest.raises(RuntimeError, match="do not add up"):
         orbit_census(2)
 
@@ -230,7 +274,8 @@ def test_orbit_census_raises_under_python_dash_o():
     )
     script = (
         "from feyncount import oracle\n"
-        "oracle._symmetry_tables = lambda m: (tuple(range(2 * m + 1)),)\n"
+        "pairings = oracle.iter_matchings\n"
+        f"oracle.iter_matchings = lambda m: (p for p in pairings(m) if p != {_DROPPED})\n"
         "oracle.orbit_census(2)\n"
     )
     result = subprocess.run(
@@ -238,13 +283,7 @@ def test_orbit_census_raises_under_python_dash_o():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 1
-    assert "RuntimeError" in result.stderr
-
-
-def test_orbit_census_without_representatives():
-    census = orbit_census(2, include_representatives=False)
-    assert census.representatives is None
-    assert census.orbit_count == 10
+    assert "RuntimeError" in result.stderr and "do not add up" in result.stderr
 
 
 def test_census_representatives_are_canonical():
@@ -267,8 +306,23 @@ def test_canonical_form_classifies_orbits():
         assert reps == sorted(forms)
 
 
+def test_canonical_form_is_the_group_minimum_on_every_pairing():
+    # disconnected pairings too, where the walk branches over each
+    # vacuum part's root
+    for m in (1, 2, 3):
+        for p in iter_matchings(m):
+            assert canonical_form(p, m).pairing == _group_minimum(p, m), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairings(max_order=4))
+def test_canonical_form_is_the_group_minimum(drawn):
+    m, p = drawn
+    assert canonical_form(p, m).pairing == _group_minimum(p, m)
+
+
 def test_canonical_form_invariant_under_group():
-    tables = _symmetry_tables(2)
+    tables = _group(2)
     for diagram in orbit_census(2).representatives:
         for table in tables:
             assert canonical_form(_act(table, diagram.pairing), 2) == diagram
@@ -278,7 +332,7 @@ def test_canonical_form_invariant_under_group():
 @given(_pairings(max_order=4), st.data())
 def test_canonical_form_invariant_under_random_group_element(drawn, data):
     m, p = drawn
-    table = data.draw(st.sampled_from(_symmetry_tables(m)))
+    table = data.draw(st.sampled_from(_group(m)))
     assert canonical_form(_act(table, p), m) == canonical_form(p, m)
 
 
@@ -302,7 +356,7 @@ def test_caps():
         enumerate_matchings(DEFAULT_ORDER_CAP + 1)
     with pytest.raises(OrderCapError):
         enumerate_matchings(OVERRIDE_ORDER_CAP + 1, override=True)
-    with pytest.raises(OrderCapError):
+    with pytest.raises(OrderCapError, match="39916800"):
         orbit_census(DEFAULT_ORDER_CAP + 1)
     with pytest.raises(ValueError):
         enumerate_matchings(0)
