@@ -42,7 +42,6 @@ from .oracle import (
     MatchCensus,
     OrbitCensus,
     OrderCapError,
-    SlotModel,
     canonical_form,
     diagram_edges,
     enumerate_matchings,
@@ -50,7 +49,6 @@ from .oracle import (
     iter_matchings,
     matching_is_connected,
     orbit_census,
-    slot_model,
 )
 
 __all__ = [
@@ -84,7 +82,6 @@ __all__ = [
     "MatchCensus",
     "OrbitCensus",
     "OrderCapError",
-    "SlotModel",
     "canonical_form",
     "diagram_edges",
     "enumerate_matchings",
@@ -92,5 +89,4 @@ __all__ = [
     "iter_matchings",
     "matching_is_connected",
     "orbit_census",
-    "slot_model",
 ]

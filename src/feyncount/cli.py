@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import counting, oracle
 from .compositions import _Refusal, count_compositions, enumerate_compositions
 from .counting import ExactnessError, MethodDisagreementError, VerificationReport
-from .oracle import OrderCapError
 
 # The coefficient-recursion suite streams about 2**m compositions per order,
 # so verify runs it no further than this order.
@@ -95,11 +95,12 @@ def _verify_report(max_order: int) -> VerificationReport:
             "wick-connected", f"m={m}", counting.connected_recurrence(m), census.connected
         )
         report.add("wick-vacuum", f"m={m}", counting.bubble_diagrams(m), census.vacuum)
-        report.add("orbit-count", f"m={m}", counting.arques_walsh(m), orbits.orbit_count)
+        distinct = counting.arques_walsh(m)
+        report.add("orbit-count", f"m={m}", distinct, orbits.orbit_count)
         report.add(
             "orbit-histogram",
             f"m={m}",
-            {counting.double_factorial(2 * m): counting.arques_walsh(m)},
+            {counting.double_factorial(2 * m): distinct},
             orbits.orbit_sizes,
         )
     return report
@@ -150,12 +151,9 @@ def _write_dot_files(census: oracle.OrbitCensus, out_dir: Path) -> list[Path]:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     m = args.order
-    if args.dot_dir is not None and m > oracle.DEFAULT_ORDER_CAP:
-        raise OrderCapError(
-            f"DOT export needs the orbit census, capped at order {oracle.DEFAULT_ORDER_CAP}"
-        )
     orbits = None
-    if m <= oracle.DEFAULT_ORDER_CAP:
+    # --dot-dir writes the orbits, so above its cap the census refuses the order
+    if m <= oracle.DEFAULT_ORDER_CAP or args.dot_dir is not None:
         orbits = oracle.orbit_census(m)
         census = orbits.matches
     else:
@@ -277,11 +275,22 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout then fails here, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MethodDisagreementError, ExactnessError, ValueError) as exc:
+    except BrokenPipeError as exc:
+        # What is still buffered can never be written.  Point stdout at
+        # devnull so that the flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MethodDisagreementError, ExactnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -156,24 +156,20 @@ def coefficient(n: int, m: int) -> int:
     Sums over compositions (a_1, ..., a_i) of m - n the value
     (-1)**i * prod_j (2 a_j)! * m! / (a_1! ... a_i! n!), the chain of
     binomials collapsed into one multinomial.  Equals 1 when n == m.
+    The multinomial splits as m!/n! * prod_j (2 a_j)!/a_j!, so the one big
+    division is m!/n!, taken once per call and not once per composition.
     """
     _check_order(m)
     if not 1 <= n <= m:
         raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
     if n == m:
         return 1
-    fact_m = _fact(m)
-    fact_n = _fact(n)
+    ratio = [_fact(2 * a) // _fact(a) for a in range(m - n + 1)]  # (2a)!/a!
     total = 0
     for parts in enumerate_compositions(m - n):
-        weight = 1
-        denom = fact_n
-        for a in parts:
-            weight *= _fact(2 * a)
-            denom *= _fact(a)
-        term = weight * (fact_m // denom)
+        term = math.prod(ratio[a] for a in parts)
         total += -term if len(parts) & 1 else term
-    return total
+    return _fact(m) // _fact(n) * total
 
 
 def _closed_form_sequence(m_max: int) -> list[int]:
@@ -259,15 +255,15 @@ def count_table(max_order: int, *, method: str = "recurrence") -> list[CountRow]
     and raises MethodDisagreementError on any mismatch.
     """
     _check_order(max_order)
+    if method not in ("recurrence", "closed-form", "arques-walsh", "all"):
+        raise _Refusal(f"unknown method: {method!r}")
     dfacts = [double_factorial(2 * m) for m in range(max_order + 1)]
-    if method in ("recurrence", "all"):
-        connected = connected_sequence(max_order)
-    elif method == "closed-form":
+    if method == "closed-form":
         connected = _closed_form_sequence(max_order)
     elif method == "arques-walsh":
         connected = [d * f for d, f in zip(_arques_walsh_sequence(max_order), dfacts)]
     else:
-        raise _Refusal(f"unknown method: {method!r}")
+        connected = connected_sequence(max_order)
     if method == "all":
         closed = _closed_form_sequence(max_order)
         walsh = _arques_walsh_sequence(max_order)
@@ -326,9 +322,6 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def failures(self) -> list[Check]:
-        return [check for check in self.checks if not check.passed]
 
 
 def verify_convolution(m_max: int) -> VerificationReport:

@@ -6,7 +6,9 @@ points, collapsed onto one graph node) plus one external slot on each
 side.  A full contraction is a bijection from annihilation to creation
 slots, stored as a tuple p with p[a] = c.  Slot 0 is the external slot
 (X on the annihilation side, Y on the creation side); slots 2i-1 and 2i
-belong to vertex i.
+belong to vertex i.  This layout is written out where it is used:
+`diagram_edges` maps slots to graph nodes, and the walks find a slot's
+partner at the same vertex by arithmetic.
 
 A pairing's cycles trace paths through the multigraph it induces, so
 one walk over slots classifies it: `_vacuum_size` counts the vertices
@@ -25,8 +27,8 @@ orbit's members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
-refused unless explicitly overridden, and the orbit census is never
-attempted above the default cap.
+refused unless explicitly overridden, and `orbit_census` refuses every
+order above the default cap, with its cost, before it walks a pairing.
 """
 
 from __future__ import annotations
@@ -44,29 +46,9 @@ DEFAULT_ORDER_CAP = 4
 #: Absolute ceiling; above this even an override is refused.
 OVERRIDE_ORDER_CAP = 5
 
-X_NODE = 0
-Y_NODE = 1
-
 
 class OrderCapError(_Refusal):
     """Requested order exceeds the enumeration cap."""
-
-
-@dataclass(frozen=True)
-class SlotModel:
-    """Slot-to-node maps for the order-m operator string.
-
-    Graph nodes are numbered X = 0, Y = 1, vertex i = i + 1; there are
-    order + 2 of them.
-    """
-
-    order: int
-    ann_nodes: tuple[int, ...]
-    cre_nodes: tuple[int, ...]
-
-    @property
-    def node_count(self) -> int:
-        return self.order + 2
 
 
 @dataclass(frozen=True)
@@ -121,23 +103,11 @@ def _check_order(m: int) -> None:
         raise _Refusal(f"order must be >= 1, got {m}")
 
 
-def slot_model(m: int) -> SlotModel:
-    """Slot layout for order m: 2m+1 slots per side, two per vertex plus one external."""
-    _check_order(m)
-    vertex_nodes = tuple(1 + (s + 1) // 2 for s in range(1, 2 * m + 1))
-    return SlotModel(m, (X_NODE,) + vertex_nodes, (Y_NODE,) + vertex_nodes)
-
-
-def _check_cap(m: int, override: bool, *, census: bool) -> None:
+def _check_cap(m: int, override: bool) -> None:
     _check_order(m)
     if m <= DEFAULT_ORDER_CAP:
         return
     pairings = math.factorial(2 * m + 1)
-    if census:
-        raise OrderCapError(
-            f"orbit census at order {m} would classify (2m+1)! = {pairings} pairings; "
-            f"the census cap is {DEFAULT_ORDER_CAP}"
-        )
     if m > OVERRIDE_ORDER_CAP:
         raise OrderCapError(
             f"order {m} means enumerating (2m+1)! = {pairings} pairings; "
@@ -173,13 +143,16 @@ def iter_matchings(m: int, *, first_image: int | None = None) -> Iterator[tuple[
 def diagram_edges(pairing: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     """Edge multiset of the induced multigraph, one edge per contraction.
 
-    Edges are (annihilation node, creation node) in annihilation-slot
-    order; self-loops appear as (v, v).  Always exactly 2m+1 edges.
+    The m + 2 graph nodes are X = 0, Y = 1 and vertex i = i + 1.  Slot 0
+    is X on the annihilation side and Y on the creation side; slots 2i-1
+    and 2i are vertex i on both sides.  Edges are (annihilation node,
+    creation node) in annihilation-slot order; self-loops appear as
+    (v, v).  Always exactly 2m+1 edges.
     """
     _validate_pairing(pairing, m)
-    model = slot_model(m)
     return [
-        (model.ann_nodes[a], model.cre_nodes[c]) for a, c in enumerate(pairing)
+        ((a + 1) // 2 + 1 if a else 0, (c + 1) // 2 + 1 if c else 1)
+        for a, c in enumerate(pairing)
     ]
 
 
@@ -220,7 +193,7 @@ def enumerate_matchings(
     With `first_image`, only that shard of the stream is tallied; the
     shards' tallies add up to the full one.
     """
-    _check_cap(m, override, census=False)
+    _check_cap(m, override)
     parts = [0] * (m + 1)
     for p in iter_matchings(m, first_image=first_image):
         parts[_vacuum_size(p)] += 1
@@ -289,8 +262,16 @@ def orbit_census(m: int) -> OrbitCensus:
     orbit is expected to reach (2m)!!, but smaller sizes would be reported
     rather than folded in.  Sizes that do not add up to the connected
     count mean the stream was incomplete: that raises RuntimeError.
+
+    Orders above `DEFAULT_ORDER_CAP` are refused with their cost before
+    any pairing is walked; no override reaches them.
     """
-    _check_cap(m, False, census=True)
+    _check_order(m)
+    if m > DEFAULT_ORDER_CAP:
+        raise OrderCapError(
+            f"orbit census at order {m} would classify (2m+1)! = "
+            f"{math.factorial(2 * m + 1)} pairings; the census cap is {DEFAULT_ORDER_CAP}"
+        )
     parts = [0] * (m + 1)
     shard: Counter[tuple[int, ...]] = Counter()
     for p in iter_matchings(m):

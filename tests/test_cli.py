@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv, stdout=subprocess.PIPE, unbuffered=""):
+    """Start the command in a fresh interpreter, stderr piped.
+
+    Stdout is block-buffered, as it is on a pipe by default, unless
+    `unbuffered` is a non-empty PYTHONUNBUFFERED value.
+    """
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.Popen(
+        [sys.executable, "-m", "feyncount", *argv], env=env, text=True,
+        stdout=stdout, stderr=subprocess.PIPE,
+    )
 
 
 @pytest.fixture
@@ -222,7 +243,8 @@ def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
     )
     assert code == 2
     assert out == ""
-    assert "census" in err
+    # the census's own refusal, with its cost
+    assert "census" in err and "39916800" in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
@@ -338,6 +360,40 @@ def test_internal_value_error_is_not_reported_as_a_refusal(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: internal fault\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--order", "2", "--dot-dir"], ["export", "--order", "1", "--out-dir"]]
+)
+def test_unwritable_output_directory_is_an_error_line(tmp_path, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    proc = spawn(*argv, str(taken))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counts", "--max-order", "4"],  # fits the buffer: fails at the final flush
+        ["counts", "--max-order", "300"],  # fails at a flush mid-run
+        ["counts", "--max-order", "300", "--format", "csv"],
+    ],
+)
+def test_closed_stdout_is_an_error_line(argv, unbuffered):
+    # the reading end is closed before the command starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = spawn(*argv, stdout=write_end, unbuffered=unbuffered)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_missing_subcommand_is_usage_error():

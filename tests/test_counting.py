@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feyncount import counting
-from feyncount.compositions import count_compositions, enumerate_compositions
+from feyncount.compositions import _Refusal, count_compositions, enumerate_compositions
 from feyncount.counting import (
     ExactnessError,
     arques_walsh,
@@ -72,6 +72,22 @@ def _connected_by_binomials(m_max):
         )
         connected.append(math.factorial(2 * m + 1) - detachable)
     return connected
+
+
+def _coefficient_by_multinomial(n, m):
+    """`coefficient` with one multinomial per composition, a reference used only by these tests."""
+    if n == m:
+        return 1
+    total = 0
+    for parts in enumerate_compositions(m - n):
+        weight = 1
+        denom = math.factorial(n)
+        for a in parts:
+            weight *= math.factorial(2 * a)
+            denom *= math.factorial(a)
+        term = weight * (math.factorial(m) // denom)
+        total += -term if len(parts) & 1 else term
+    return total
 
 
 def _closed_form_by_coefficients(m):
@@ -141,6 +157,12 @@ def test_coefficient_worked_values():
     assert coefficient(2, 3) == -math.comb(3, 2) * 2 == -6
     # bracket: binom(3,2)binom(2,1)*2*2 - binom(3,1)*24
     assert coefficient(1, 3) == math.comb(3, 2) * math.comb(2, 1) * 4 - math.comb(3, 1) * 24 == -48
+
+
+def test_coefficient_matches_the_multinomial_sum_to_fourteen():
+    for m in range(1, 15):
+        for n in range(1, m + 1):
+            assert coefficient(n, m) == _coefficient_by_multinomial(n, m), (n, m)
 
 
 def test_coefficient_domain_errors():
@@ -352,9 +374,17 @@ def test_count_table_methods_agree():
         assert [r.connected for r in rows] == connected_sequence(6)
 
 
-def test_count_table_rejects_unknown_method():
+def test_count_table_rejects_unknown_method(monkeypatch):
     with pytest.raises(ValueError):
         count_table(3, method="guesswork")
+
+    def refuse(n):
+        raise AssertionError("built factorials before checking the method")
+
+    # refused before any work, however large the order
+    monkeypatch.setattr(counting, "_fact", refuse)
+    with pytest.raises(_Refusal, match="unknown method"):
+        count_table(10**9, method="guesswork")
 
 
 def test_results_are_reproducible():

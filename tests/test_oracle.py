@@ -27,15 +27,18 @@ from feyncount.oracle import (
     iter_matchings,
     matching_is_connected,
     orbit_census,
-    slot_model,
     _vacuum_size,
 )
 
 
 def _bfs_component_of_x(pairing, m):
-    """Independent connectivity reference used only by these tests."""
-    model = slot_model(m)
-    edges = [(model.ann_nodes[a], model.cre_nodes[c]) for a, c in enumerate(pairing)]
+    """Independent connectivity reference used only by these tests.
+
+    Nodes are X = 0, Y = 1 and vertex i = i + 1, read from slot tables.
+    """
+    vertex_nodes = [node for node in range(2, m + 2) for _ in range(2)]
+    ann_nodes, cre_nodes = [0] + vertex_nodes, [1] + vertex_nodes
+    edges = [(ann_nodes[a], cre_nodes[c]) for a, c in enumerate(pairing)]
     seen = {0}
     grew = True
     while grew:
@@ -87,24 +90,6 @@ def _pairings(draw, max_order):
     return m, tuple(draw(st.permutations(range(2 * m + 1))))
 
 
-def test_slot_model_shape():
-    for m in range(1, 5):
-        model = slot_model(m)
-        assert len(model.ann_nodes) == len(model.cre_nodes) == 2 * m + 1
-        assert model.node_count == m + 2
-        # one external slot each side, two slots per vertex per side
-        assert model.ann_nodes.count(0) == 1 and 1 not in model.ann_nodes
-        assert model.cre_nodes.count(1) == 1 and 0 not in model.cre_nodes
-        for vertex in range(2, m + 2):
-            assert model.ann_nodes.count(vertex) == 2
-            assert model.cre_nodes.count(vertex) == 2
-
-
-def test_slot_model_rejects_order_zero():
-    with pytest.raises(ValueError):
-        slot_model(0)
-
-
 @pytest.mark.parametrize("m", [0, -1])
 def test_pairing_entry_points_refuse_orders_below_one(m):
     identity = tuple(range(2 * m + 1))
@@ -114,6 +99,8 @@ def test_pairing_entry_points_refuse_orders_below_one(m):
         canonical_form(identity, m)
     with pytest.raises(_Refusal, match="order must be >= 1"):
         matching_is_connected(identity, m)
+    with pytest.raises(_Refusal, match="order must be >= 1"):
+        diagram_edges(identity, m)
 
 
 @pytest.mark.parametrize(
@@ -170,13 +157,14 @@ def test_shard_index_out_of_range():
 
 
 def test_diagram_edges_shape():
-    for m in (1, 2):
+    # X once on the annihilation side, Y once on the creation side, and
+    # every vertex twice on each side, whatever the pairing
+    for m in (1, 2, 3):
+        vertices = sorted(2 * list(range(2, m + 2)))
         for p in iter_matchings(m):
             edges = diagram_edges(p, m)
-            assert len(edges) == 2 * m + 1
-            nodes = {node for edge in edges for node in edge}
-            assert 0 in nodes and 1 in nodes
-            assert nodes <= set(range(m + 2))
+            assert sorted(u for u, _ in edges) == [0] + vertices
+            assert sorted(v for _, v in edges) == [1] + vertices
 
 
 def test_diagram_edges_order_one_self_loop():
@@ -185,14 +173,13 @@ def test_diagram_edges_order_one_self_loop():
 
 def test_connectivity_matches_independent_reference():
     for m in (1, 2, 3):
-        model = slot_model(m)
         n_connected = 0
         for p in iter_matchings(m):
             component = _bfs_component_of_x(p, m)
             # X and Y can never split apart
             assert 1 in component
-            assert _vacuum_size(p) == model.node_count - len(component)
-            reachable_all = len(component) == model.node_count
+            assert _vacuum_size(p) == m + 2 - len(component)
+            reachable_all = len(component) == m + 2
             assert matching_is_connected(p, m) == reachable_all
             n_connected += reachable_all
         assert n_connected == enumerate_matchings(m).connected
