@@ -19,8 +19,9 @@ from . import counting, oracle
 from .compositions import _Refusal, count_compositions, enumerate_compositions
 from .counting import ExactnessError, MethodDisagreementError, VerificationReport
 
-# The coefficient-recursion suite streams about 2**m compositions per order,
-# so verify runs it no further than this order.
+# Verify runs the coefficient-recursion suite no further than this order.  Its
+# weights sum over the p(m) partitions per order, not 2**m compositions, so
+# order 30 would take about a second, but each order above the cap adds rows.
 _COEFFICIENT_SUITE_CAP = 20
 
 
@@ -220,8 +221,14 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops an OSError from this write; a closed stdout is an error here
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="feyncount",
         description="Exact connected-Feynman-diagram counts with brute-force cross-checks.",
     )
@@ -229,11 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counts", help="print the per-order count table")
     p.add_argument("--max-order", type=int, required=True, metavar="M")
-    p.add_argument(
-        "--method",
-        choices=["recurrence", "closed-form", "arques-walsh", "all"],
-        default="recurrence",
-    )
+    p.add_argument("--method", choices=counting._COUNT_METHODS, default="recurrence")
     p.add_argument(
         "--format", choices=["table", "csv", "json", "bfile"], default="table"
     )
@@ -267,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # Counts outgrow CPython's default 4300-digit limit on int -> str rendering.
     # The limit is lifted for this call only; the caller gets its own back.
     limit = None
@@ -275,6 +277,12 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            # --help exits with its text still buffered; see the flush below
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         # a closed stdout then fails here, not in the flush at exit
         sys.stdout.flush()

@@ -2,9 +2,14 @@
 
 A composition of n is an ordered tuple of positive parts summing to n;
 order matters, so (4, 1) and (1, 4) are distinct.  There are 2**(n-1)
-of them.  Compositions index the terms of every signed diagram-count
-expansion in this package, so enumeration must be exhaustive,
+of them.  They index the terms of the signed diagram-count expansions
+the paper writes down, so enumeration must be exhaustive,
 duplicate-free, and deterministic.
+
+Compositions that use the same parts give equal terms in those
+expansions.  The paper's classificatory sum therefore runs over part
+multisets, the partitions of n, each weighted by how many compositions
+share it (`multiset_multiplicity`): p(n) terms instead of 2**(n-1).
 """
 
 from __future__ import annotations
@@ -74,3 +79,19 @@ def multiset_multiplicity(ms: Mapping[int, int]) -> int:
     for mult in ms.values():
         result //= math.factorial(mult)
     return result
+
+
+def _part_multisets(n: int, largest: int | None = None) -> Iterator[dict[int, int]]:
+    """Yield every part multiset of n exactly once, as part value -> multiplicity.
+
+    These are the partitions of n, with no part above `largest` (default
+    n).  Larger parts come first, so the stream starts at {n: 1} and ends
+    at {1: n}.  n = 0 yields the single empty multiset.
+    """
+    if n == 0:
+        yield {}
+        return
+    for part in range(min(n, n if largest is None else largest), 0, -1):
+        for mult in range(n // part, 0, -1):
+            for rest in _part_multisets(n - part * mult, part - 1):
+                yield {part: mult, **rest}

@@ -11,8 +11,10 @@ Three independent routes to the connected count are implemented:
 
 Both composition sums are coefficients of a reciprocal power series, so
 each is evaluated by its own O(m^2) convolution recurrence instead of
-expanding 2**m compositions.  `coefficient` keeps the explicit
-composition sum, the form the paper works through by hand.
+expanding 2**m compositions.  `coefficient` keeps an explicit sum, the
+paper's classificatory one: it groups the compositions by the parts
+they use and sums over those p(m - n) part multisets, never reading the
+closed form's series.
 
 The recurrence and the closed form both run on c(m)/m!, the connected
 count divided by m!: the binomials of the recurrence and the falling
@@ -36,7 +38,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .compositions import _Refusal, enumerate_compositions
+from .compositions import _Refusal, _part_multisets, multiset_multiplicity
 
 class ExactnessError(Exception):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -153,11 +155,14 @@ def connected_recurrence(m: int) -> int:
 def coefficient(n: int, m: int) -> int:
     """Signed weight of the (total - bubble) difference at order n <= m.
 
-    Sums over compositions (a_1, ..., a_i) of m - n the value
+    Over compositions (a_1, ..., a_i) of m - n it is the sum of
     (-1)**i * prod_j (2 a_j)! * m! / (a_1! ... a_i! n!), the chain of
     binomials collapsed into one multinomial.  Equals 1 when n == m.
     The multinomial splits as m!/n! * prod_j (2 a_j)!/a_j!, so the one big
-    division is m!/n!, taken once per call and not once per composition.
+    division is m!/n!, taken once per call.  A term depends only on the
+    parts a composition uses, so the sum runs over part multisets
+    {a: mu_a} of m - n, the paper's classificatory sum: each gives
+    multiset_multiplicity * (-1)**(sum mu_a) * prod_a ((2a)!/a!)**mu_a.
     """
     _check_order(m)
     if not 1 <= n <= m:
@@ -166,9 +171,11 @@ def coefficient(n: int, m: int) -> int:
         return 1
     ratio = [_fact(2 * a) // _fact(a) for a in range(m - n + 1)]  # (2a)!/a!
     total = 0
-    for parts in enumerate_compositions(m - n):
-        term = math.prod(ratio[a] for a in parts)
-        total += -term if len(parts) & 1 else term
+    for parts in _part_multisets(m - n):
+        term = multiset_multiplicity(parts) * math.prod(
+            ratio[a] ** mult for a, mult in parts.items()
+        )
+        total += -term if sum(parts.values()) & 1 else term
     return _fact(m) // _fact(n) * total
 
 
@@ -236,6 +243,10 @@ def distinct_connected(m: int) -> int:
     )
 
 
+# The routes `count_table` accepts, in the order the command line lists them.
+_COUNT_METHODS = ("recurrence", "closed-form", "arques-walsh", "all")
+
+
 @dataclass(frozen=True)
 class CountRow:
     """One order's worth of counts for tabular output."""
@@ -255,7 +266,7 @@ def count_table(max_order: int, *, method: str = "recurrence") -> list[CountRow]
     and raises MethodDisagreementError on any mismatch.
     """
     _check_order(max_order)
-    if method not in ("recurrence", "closed-form", "arques-walsh", "all"):
+    if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method: {method!r}")
     dfacts = [double_factorial(2 * m) for m in range(max_order + 1)]
     if method == "closed-form":
@@ -345,7 +356,7 @@ def verify_convolution(m_max: int) -> VerificationReport:
 def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     """Check the coefficient recursion for every pair 1 <= s <= m <= m_max.
 
-    The direct composition evaluation of the weight at (s, m+1) must equal
+    The direct evaluation of the weight at (s, m+1) must equal
     -sum_{n=s}^{m} binom(m+1, m-n+1) * (2(m-n+1))! * weight(s, n).
     Failing pairs are reported, not raised.
     """

@@ -18,6 +18,9 @@ COUNTS_300_SHA256 = {
     "csv": "cd3acea571c96cabd44fec04e6ec4477865a33890b11ed8fee5f8ba5f6585728",
     "bfile": "aaf42cbe1c948809d3a2918842d727ff1d612c932c257069cdc75facbdfc6366",
 }
+# sha256 of `verify --max-order 20 --format json` stdout as the composition-sum
+# coefficient printed it
+VERIFY_20_SHA256 = "1c6d80864b452af7660fb64f6bf1bddff4daf350b8a1c3a2982f6f56ba83bffb"
 # sha256 over the DOT files of `export --order 4` in name order (name, NUL,
 # bytes, NUL per file) as the group-expanding orbit census wrote them
 EXPORT_4_DOT_SHA256 = "b0c42b36b17a4a2de77c4988af7a4f0abb1040b39e5e14781ed421acc2002471"
@@ -150,6 +153,13 @@ def test_verify_json(capsys):
         "composition-count", "wick-total", "wick-connected", "wick-vacuum",
         "orbit-count", "orbit-histogram",
     } <= names
+
+
+def test_verify_stdout_is_pinned_at_the_coefficient_suite_cap(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "20", "--format", "json")
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_20_SHA256
 
 
 def test_verify_caps_only_the_coefficient_suite(capsys, monkeypatch):
@@ -382,6 +392,7 @@ def test_unwritable_output_directory_is_an_error_line(tmp_path, argv):
         ["counts", "--max-order", "4"],  # fits the buffer: fails at the final flush
         ["counts", "--max-order", "300"],  # fails at a flush mid-run
         ["counts", "--max-order", "300", "--format", "csv"],
+        ["counts", "--help"],  # written by argparse, which exits before the final flush
     ],
 )
 def test_closed_stdout_is_an_error_line(argv, unbuffered):
@@ -394,6 +405,16 @@ def test_closed_stdout_is_an_error_line(argv, unbuffered):
     assert proc.returncode == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_help_goes_to_stdout_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: feyncount counts [-h] --max-order M\n")
+    assert "[--method {recurrence,closed-form,arques-walsh,all}]" in out
+    assert err == ""
 
 
 def test_missing_subcommand_is_usage_error():

@@ -3,8 +3,11 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feyncount.compositions import (
+    _part_multisets,
     count_compositions,
     enumerate_compositions,
     multiset_multiplicity,
@@ -108,3 +111,15 @@ def test_grouping_by_multiset_is_lossless():
         groups = {frozenset(Counter(c).items()) for c in enumerate_compositions(n)}
         total = sum(multiset_multiplicity(dict(g)) for g in groups)
         assert total == 2 ** (n - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=16))
+def test_part_multisets_are_the_sorted_compositions(k):
+    # the classificatory sum's terms: one per distinct sorted composition,
+    # weighted by multiplicities that count the whole composition stream
+    multisets = list(_part_multisets(k))
+    sorted_parts = [tuple(sorted(Counter(ms).elements())) for ms in multisets]
+    assert len(set(sorted_parts)) == len(sorted_parts)
+    assert set(sorted_parts) == {tuple(sorted(c)) for c in enumerate_compositions(k)}
+    assert sum(multiset_multiplicity(ms) for ms in multisets) == 2 ** (k - 1)
