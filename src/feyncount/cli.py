@@ -158,6 +158,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         orbits = oracle.orbit_census(m)
         census = orbits.matches
     else:
+        # the same cap check, naming the flag rather than the library keyword
+        oracle._check_cap(m, args.override, "--override")
         census = oracle.enumerate_matchings(m, override=args.override)
         print(
             f"note: orbit census skipped above order {oracle.DEFAULT_ORDER_CAP}",

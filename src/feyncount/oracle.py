@@ -10,20 +10,23 @@ belong to vertex i.  This layout is written out where it is used:
 `diagram_edges` maps slots to graph nodes, and the walks find a slot's
 partner at the same vertex by arithmetic.
 
-A pairing's cycles trace paths through the multigraph it induces, so
-one walk over slots classifies it: `_vacuum_size` counts the vertices
-cut off from the external points, and 0 means connected.  The census
-tallies every pairing by that number n, the size of its vacuum part,
-which is the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).
+One queue rule from slot 0 reads a pairing: each queued slot's
+contraction that reaches a new vertex numbers it, the slot reached
+becoming its unprimed point, and queues both its slots.  The slots left
+unqueued belong to the vertices cut off from the external points, so
+`_vacuum_size` counts them and 0 means connected.  The census tallies
+every pairing by that number n, the size of its vacuum part, which is
+the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).  The numbers the
+rule hands out build the orbit's lexicographic minimum directly, which
+is how `canonical_form` names a diagram.
 
-`canonical_form` names a diagram by one relabelling walk from slot 0:
-each vertex takes the next label when a contraction first reaches it,
-and the slot reached becomes its unprimed point, which builds the
-orbit's lexicographic minimum directly.  `orbit_census` makes the vacuum
-tally and the orbit decomposition in one walk over the pairings: it
-relabels only the connected pairings with p[0] == 1, and since the
-symmetry group moves p[0] transitively over 1..2m, one in 2m of every
-orbit's members lies in that shard.
+`orbit_census` and `enumerate_matchings` do not read pairings one by
+one: a depth-first walk builds them in the rule's own slot order, so a
+prefix that pairings share is walked once, with its queue, labels and
+canonical prefix carried down the tree.  The walk tallies every pairing
+by vacuum size and counts the orbit minimum of each connected pairing
+with p[0] == 1; since the symmetry group moves p[0] transitively over
+1..2m, one in 2m of every orbit's members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
@@ -103,7 +106,8 @@ def _check_order(m: int) -> None:
         raise _Refusal(f"order must be >= 1, got {m}")
 
 
-def _check_cap(m: int, override: bool) -> None:
+def _check_cap(m: int, override: bool, keyword: str = "override=True") -> None:
+    """Refuse an order above the caps; `keyword` names the way to override."""
     _check_order(m)
     if m <= DEFAULT_ORDER_CAP:
         return
@@ -116,8 +120,13 @@ def _check_cap(m: int, override: bool) -> None:
     if not override:
         raise OrderCapError(
             f"order {m} means enumerating (2m+1)! = {pairings} pairings; "
-            f"pass override=True to proceed up to order {OVERRIDE_ORDER_CAP}"
+            f"pass {keyword} to proceed up to order {OVERRIDE_ORDER_CAP}"
         )
+
+
+def _check_shard(m: int, first_image: int | None) -> None:
+    if first_image is not None and not 0 <= first_image <= 2 * m:
+        raise _Refusal(f"first_image must be a creation slot index, got {first_image}")
 
 
 def iter_matchings(m: int, *, first_image: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -126,14 +135,15 @@ def iter_matchings(m: int, *, first_image: int | None = None) -> Iterator[tuple[
     With `first_image` = c, only pairings sending annihilation slot 0 to
     creation slot c are produced; the 2m+1 shards partition the full
     stream and concatenating them in ascending c reproduces it exactly.
+    The census walks the pairings in its own order; this stream is the
+    plain reference it is checked against.
     """
     _check_order(m)
+    _check_shard(m, first_image)
     n = 2 * m + 1
     if first_image is None:
         yield from itertools.permutations(range(n))
         return
-    if not 0 <= first_image < n:
-        raise _Refusal(f"first_image must be a creation slot index, got {first_image}")
     rest = [c for c in range(n) if c != first_image]
     head = (first_image,)
     for tail in itertools.permutations(rest):
@@ -156,27 +166,34 @@ def diagram_edges(pairing: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     ]
 
 
-def _vacuum_size(pairing: tuple[int, ...]) -> int:
-    """Number of vertices cut off from X by the pairing; 0 means connected.
+def _reached(
+    pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)
+) -> tuple[list[int], dict[int, int]]:
+    """The relabelling walk's queue rule, applied to one fixed pairing.
 
-    Walks slots from slot 0.  Following the pairing from a slot traces
-    its cycle, one contraction after another, and the partner slot at
-    the same vertex (2i-1 and 2i) is pulled in with it.  Slot 0 is X on
-    the annihilation side and Y on the creation side, and its cycle
-    joins them, so X and Y are never apart.
+    `queue` holds slots in the order of their new numbers.  The walk follows
+    each queued slot's contraction; one that reaches a vertex not yet
+    numbered gives it the next label k, the slot reached becoming its
+    unprimed point 2k-1, and queues both its slots (2i-1 and 2i share a
+    vertex).  Returns the queue, which then holds every slot in the
+    component of its first slot, and the new number of each queued slot.
+    Slot 0 is X on the annihilation side and Y on the creation side, so
+    from slot 0 the two are never apart.
     """
-    seen = [False] * len(pairing)
-    todo = [0]
-    reached = 0
-    while todo:
-        s = todo.pop()
-        while not seen[s]:
-            seen[s] = True
-            reached += 1
-            if s:
-                todo.append(s + 1 if s & 1 else s - 1)
-            s = pairing[s]
-    return (len(pairing) - reached) // 2
+    queue = list(queue)
+    new = {s: i for i, s in enumerate(queue)}
+    for s in queue:
+        c = pairing[s]
+        if c not in new:
+            partner = c + 1 if c & 1 else c - 1
+            new[c], new[partner] = len(queue), len(queue) + 1
+            queue += (c, partner)
+    return queue, new
+
+
+def _vacuum_size(pairing: tuple[int, ...]) -> int:
+    """Number of vertices cut off from X by the pairing; 0 means connected."""
+    return (len(pairing) - len(_reached(pairing)[0])) // 2
 
 
 def matching_is_connected(pairing: tuple[int, ...], m: int) -> bool:
@@ -190,14 +207,14 @@ def enumerate_matchings(
 ) -> MatchCensus:
     """Tally all pairings by the size of their vacuum part, exhaustively.
 
-    With `first_image`, only that shard of the stream is tallied; the
-    shards' tallies add up to the full one.
+    The pairings come from the census's walk, not from `iter_matchings`.
+    With `first_image`, only that shard is tallied: the pairings that
+    contract slot 0 with creation slot `first_image`.  The shards'
+    tallies add up to the full one.
     """
     _check_cap(m, override)
-    parts = [0] * (m + 1)
-    for p in iter_matchings(m, first_image=first_image):
-        parts[_vacuum_size(p)] += 1
-    return MatchCensus(tuple(parts))
+    _check_shard(m, first_image)
+    return MatchCensus(tuple(_walk_pairings(m, first_image)))
 
 
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
@@ -210,22 +227,12 @@ def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
 def _relabelled(pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)) -> tuple[int, ...]:
     """Least image of the pairing under vertex relabellings and point swaps.
 
-    `queue` holds the old slots in the order of their new numbers.  The
-    walk follows each queued slot's contraction; one that reaches a vertex
-    not yet numbered gives it the next label k, the slot reached becoming
-    its unprimed point 2k-1, and queues both its slots.  Every new number
-    is thus the least still free, so the image is the orbit's minimum.
-    When X's component is used up with vertices left, each unnumbered
-    slot is tried as the next root and the least result is kept.
+    `_reached` numbers the slots from the queue.  Every new number is the
+    least still free, so the image is the orbit's minimum.  When X's
+    component is used up with vertices left, each unnumbered slot is tried
+    as the next root and the least result is kept.
     """
-    queue = list(queue)
-    new = {s: i for i, s in enumerate(queue)}
-    for s in queue:
-        c = pairing[s]
-        if c not in new:
-            partner = c + 1 if c & 1 else c - 1
-            new[c], new[partner] = len(queue), len(queue) + 1
-            queue += (c, partner)
+    queue, new = _reached(pairing, queue)
     if len(queue) == len(pairing):
         return tuple(new[pairing[s]] for s in queue)
     return min(
@@ -233,6 +240,63 @@ def _relabelled(pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)) -> tupl
         for s in range(1, len(pairing))
         if s not in new
     )
+
+
+def _walk_pairings(
+    m: int, first_image: int | None = None, shard: Counter | None = None
+) -> list[int]:
+    """Tally every pairing by vacuum-part size, built in relabelling order.
+
+    A depth-first walk builds each pairing in the order `_reached` reads
+    its slots: the i-th queued slot is contracted with each free creation
+    slot in ascending order, and the queue, the labels and the canonical
+    prefix (each contraction's new number) are carried down the tree and
+    undone on the way back.  A prefix stops growing when nothing is left
+    to reach: either the queue has run out, so the queued slots are closed
+    under the pairing and every completion cuts the other vertices off, or
+    it holds all slots, so every completion is connected and its orbit
+    minimum is the prefix followed by the labels in the order taken.  Each
+    completion, a permutation of the free creation slots, is tallied.
+
+    With `first_image`, slot 0 is contracted with that slot only.  Given
+    `shard`, each connected pairing with p[0] == 1 adds 1 to its orbit
+    minimum there.
+    """
+    n = 2 * m + 1
+    parts = [0] * (m + 1)
+    free = list(range(n))  # creation slots not yet contracted, ascending
+    label = [0] + [-1] * (n - 1)  # new number of each numbered slot
+    queue = [0]
+    prefix: list[int] = []
+
+    def extend(i: int) -> None:
+        if i == len(queue) or len(queue) == n:
+            vacuum = (n - len(queue)) // 2
+            # queue[1] is the slot p[0] reached, so p[0] == 1 exactly when it is 1
+            record = not vacuum and shard is not None and queue[1] == 1
+            for tail in itertools.permutations(free):
+                parts[vacuum] += 1
+                if record:
+                    shard[(*prefix, *(label[c] for c in tail))] += 1
+            return
+        # at i == 0 every slot is free, so slot first_image sits at that index
+        for j in range(len(free)) if i or first_image is None else (first_image,):
+            c = free.pop(j)
+            fresh = label[c] < 0
+            if fresh:
+                partner = c + 1 if c & 1 else c - 1
+                label[c], label[partner] = len(queue), len(queue) + 1
+                queue.extend((c, partner))
+            prefix.append(label[c])
+            extend(i + 1)
+            prefix.pop()
+            if fresh:
+                del queue[-2:]
+                label[c] = label[partner] = -1
+            free.insert(j, c)
+
+    extend(0)
+    return parts
 
 
 def canonical_form(pairing: tuple[int, ...], m: int) -> CanonicalDiagram:
@@ -253,15 +317,15 @@ def orbit_census(m: int) -> OrbitCensus:
     One walk over all pairings serves both results: each pairing is
     tallied by its vacuum-part size into `matches` (the same tally as
     `enumerate_matchings(m)`), and each connected pairing with p[0] == 1
-    is relabelled to its orbit's minimum and counted under it.  The sorted
-    minima are the representatives.
+    is counted under its orbit's minimum, which the walk builds as it
+    builds the pairing.  The sorted minima are the representatives.
 
     A connected pairing never has p[0] == 0, and the group moves p[0]
     transitively over 1..2m, so an orbit has equally many members at each
     value of p[0]: its size is 2m times its count in the shard.  Every
     orbit is expected to reach (2m)!!, but smaller sizes would be reported
     rather than folded in.  Sizes that do not add up to the connected
-    count mean the stream was incomplete: that raises RuntimeError.
+    count mean the walk missed pairings: that raises RuntimeError.
 
     Orders above `DEFAULT_ORDER_CAP` are refused with their cost before
     any pairing is walked; no override reaches them.
@@ -272,13 +336,8 @@ def orbit_census(m: int) -> OrbitCensus:
             f"orbit census at order {m} would classify (2m+1)! = "
             f"{math.factorial(2 * m + 1)} pairings; the census cap is {DEFAULT_ORDER_CAP}"
         )
-    parts = [0] * (m + 1)
     shard: Counter[tuple[int, ...]] = Counter()
-    for p in iter_matchings(m):
-        n = _vacuum_size(p)
-        parts[n] += 1
-        if not n and p[0] == 1:
-            shard[_relabelled(p)] += 1
+    parts = _walk_pairings(m, shard=shard)
     sizes = Counter(2 * m * count for count in shard.values())
     if sum(size * count for size, count in sizes.items()) != parts[0]:
         raise RuntimeError(

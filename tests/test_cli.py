@@ -227,6 +227,14 @@ def test_oracle_requires_override_above_cap(capsys):
     assert "override" in err
 
 
+def test_oracle_override_refusal_names_the_flag(capsys):
+    code, out, err = run(capsys, "oracle", "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert "pass --override to proceed up to order 5" in err
+    assert "override=True" not in err
+
+
 def test_oracle_writes_dot_files(capsys, tmp_path):
     out_dir = tmp_path / "dots"
     code, out, err = run(
@@ -260,16 +268,16 @@ def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
 
 def test_oracle_and_verify_walk_each_order_once(capsys, monkeypatch):
     walks = []
-    iter_matchings = oracle.iter_matchings
+    walk = oracle._walk_pairings
 
-    def counted(m, **kwargs):
+    def counted(m, *args, **kwargs):
         walks.append(m)
-        return iter_matchings(m, **kwargs)
+        return walk(m, *args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_matchings walked the pairings again")
 
-    monkeypatch.setattr(oracle, "iter_matchings", counted)
+    monkeypatch.setattr(oracle, "_walk_pairings", counted)
     monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
     code, out, _ = run(capsys, "oracle", "--order", "3", "--format", "json")
     assert code == 0

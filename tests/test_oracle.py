@@ -237,18 +237,27 @@ def test_orbit_census_tallies_the_same_pass_as_the_enumeration():
         assert orbit_census(m).matches == enumerate_matchings(m)
 
 
-#: A connected order-2 pairing outside the p[0] == 1 shard.
+#: A connected order-2 pairing outside the p[0] == 1 shard: the kind of
+#: pairing `_lossy_walk` takes off the tally.
 _DROPPED = (2, 0, 3, 1, 4)
+
+
+def _lossy_walk(walk):
+    """The census walk with one connected pairing outside the p[0] == 1 shard lost."""
+
+    def lossy(m, *args, **kwargs):
+        parts = walk(m, *args, **kwargs)
+        parts[0] -= 1
+        return parts
+
+    return lossy
 
 
 def test_orbit_census_raises_when_a_pairing_goes_missing(monkeypatch):
     # the shard counts are untouched, so 2m times them overshoots the
-    # connected tally by the one pairing lost from the stream
+    # connected tally by the one pairing lost from the walk
     assert matching_is_connected(_DROPPED, 2) and _DROPPED[0] != 1
-    pairings = oracle.iter_matchings
-    monkeypatch.setattr(
-        oracle, "iter_matchings", lambda m: (p for p in pairings(m) if p != _DROPPED)
-    )
+    monkeypatch.setattr(oracle, "_walk_pairings", _lossy_walk(oracle._walk_pairings))
     with pytest.raises(RuntimeError, match="do not add up"):
         orbit_census(2)
 
@@ -257,12 +266,12 @@ def test_orbit_census_raises_under_python_dash_o():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")])
     )
     script = (
         "from feyncount import oracle\n"
-        "pairings = oracle.iter_matchings\n"
-        f"oracle.iter_matchings = lambda m: (p for p in pairings(m) if p != {_DROPPED})\n"
+        "from test_oracle import _lossy_walk\n"
+        "oracle._walk_pairings = _lossy_walk(oracle._walk_pairings)\n"
         "oracle.orbit_census(2)\n"
     )
     result = subprocess.run(
@@ -271,6 +280,43 @@ def test_orbit_census_raises_under_python_dash_o():
     )
     assert result.returncode == 1
     assert "RuntimeError" in result.stderr and "do not add up" in result.stderr
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_walk_matches_the_reference_stream_shard_by_shard(m):
+    # every shard of the walk against the lexicographic stream: the vacuum
+    # tally by an independent BFS, and the p[0] == 1 orbit minima with
+    # their multiplicities, which only shard 1 holds
+    for c in range(2 * m + 1):
+        shard = Counter()
+        parts = oracle._walk_pairings(m, c, shard)
+        tally = [0] * (m + 1)
+        forms = Counter()
+        for p in iter_matchings(m, first_image=c):
+            vacuum = m + 2 - len(_bfs_component_of_x(p, m))
+            tally[vacuum] += 1
+            if not vacuum and p[0] == 1:
+                forms[canonical_form(p, m).pairing] += 1
+        assert parts == tally
+        assert shard == forms
+        assert sum(shard.values()) == (tally[0] if c == 1 else 0)
+    shard = Counter()
+    oracle._walk_pairings(m, shard=shard)
+    assert shard == Counter(
+        canonical_form(p, m).pairing
+        for p in iter_matchings(m, first_image=1)
+        if matching_is_connected(p, m)
+    )
+
+
+@pytest.mark.parametrize("c", [5, -1])
+def test_shard_index_is_checked_before_any_pairing_is_walked(c, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked before refusing")
+
+    monkeypatch.setattr(oracle, "_walk_pairings", refuse)
+    with pytest.raises(_Refusal, match="first_image"):
+        enumerate_matchings(2, first_image=c)
 
 
 def test_census_representatives_are_canonical():
