@@ -2,9 +2,10 @@
 """Walk through the diagram-count sequences order by order.
 
 Builds the per-order table (total, bubble, connected, distinct) with the
-default recurrence, then recomputes the connected column through the two
-independent routes (the signed closed form and the Arques-Walsh
-rooted-map sum) and shows that all three agree exactly.
+default route, which counts the Wick walk by state, then recomputes the
+connected column through the other three routes (the bubble-subtraction
+recurrence, the signed closed form and the Arques-Walsh rooted-map sum)
+and shows that all four agree exactly.
 
 Run: python3 demos/sequence_table.py [max_order]
 """
@@ -32,18 +33,19 @@ def main():
         print(f"{r.m:>3}  {r.total:>22}  {r.bubble:>22}  {r.connected:>22}  {r.distinct:>14}")
 
     print("\nThe distinct column is the Arques-Walsh sequence: 2, 10, 74, 706, ...")
-    print("Cross-checking the connected column through the other two routes:\n")
+    print("Cross-checking the connected column through the other three routes:\n")
 
     recurrence = connected_sequence(max_order)
-    for m in range(1, max_order + 1):
+    for r in rows[1:]:
+        m = r.m
         closed = connected_closed_form(m)
         walsh = arques_walsh(m) * double_factorial(2 * m)
-        status = "agree" if recurrence[m] == closed == walsh else "DISAGREE"
+        status = "agree" if r.connected == recurrence[m] == closed == walsh else "DISAGREE"
         print(f"  m={m:>2}: recurrence={recurrence[m]}  closed-form={closed}  "
               f"(2m)!!*arques-walsh={walsh}  -> {status}")
         assert status == "agree"
 
-    print("\nAll three routes produced identical exact values.")
+    print("\nAll four routes produced identical exact values.")
 
 
 if __name__ == "__main__":

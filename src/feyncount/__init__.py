@@ -1,9 +1,10 @@
 """Exact counting of connected Feynman diagrams per perturbation order.
 
-Three independent exact-arithmetic routes to the connected-diagram count
-(a bubble-subtraction recurrence, a signed closed form, and the
-Arques-Walsh rooted-map sum) plus a brute-force Wick-contraction
-enumerator that serves as ground truth at small order.
+Four exact-arithmetic routes to the connected-diagram count (the Wick
+walk counted by state, the default; a bubble-subtraction recurrence; a
+signed closed form; and the Arques-Walsh rooted-map sum) plus a
+brute-force Wick-contraction enumerator that serves as ground truth at
+small order.
 """
 
 __version__ = "0.1.0"

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counts", help="print the per-order count table")
     p.add_argument("--max-order", type=int, required=True, metavar="M")
-    p.add_argument("--method", choices=counting._COUNT_METHODS, default="recurrence")
+    p.add_argument("--method", choices=counting._COUNT_METHODS, default="walk")
     p.add_argument(
         "--format", choices=["table", "csv", "json", "bfile"], default="table"
     )

@@ -1,13 +1,20 @@
 """Exact big-integer counts of Feynman diagrams per perturbation order.
 
-Three independent routes to the connected count are implemented:
+Four routes to the connected count are implemented:
 
+* a walk over the Wick contractions counted by state, not by pairing
+  (small-by-big products only, the default),
 * a subtraction recurrence peeling vacuum bubbles off the factorial
-  total (O(m^2) big-integer work, the default),
+  total (O(m^2) big-integer products),
 * a closed form summing signed composition-indexed coefficients against
   (total - bubble) differences,
 * the Arques-Walsh rooted-map sum, which yields the count of *distinct*
   connected diagrams directly.
+
+The walk is the oracle's contraction order folded into states (r, u):
+r queued slots still to contract and u vertices not yet reached.  Its
+recurrence comes from the pairing model, not from the bubble series the
+other three routes share, so agreement with it is an independent check.
 
 Both composition sums are coefficients of a reciprocal power series, so
 each is evaluated by its own O(m^2) convolution recurrence instead of
@@ -22,11 +29,11 @@ factorials of the closed form cancel, and the operands are about half the
 size.  Each multiplies back by m! before returning, so callers only see
 the counts.
 
-The factorials and the recurrence's scaled values are memoised once per
-process in write-once tables, so a per-order query after the first is a
-lookup.  The closed-form and Arques-Walsh builders keep no memo, and the
-three routes share only the factorials, so agreement between them still
-compares independent computations.
+The factorials and the walk's counts are memoised once per process in
+write-once memos, so a per-order query after the first is a lookup.  The
+recurrence, closed-form and Arques-Walsh builders keep no memo, and the
+routes share only the factorials, so agreement between them still
+compares separate computations.
 
 All arithmetic is exact; counts are plain Python integers and must never
 pass through floating point.
@@ -48,38 +55,29 @@ class MethodDisagreementError(Exception):
     """Two counting methods produced different values for the same order."""
 
 
-# Factorials dominate every formula here, and each order of the recurrence is
-# built from every lower one, so both are kept in process-global tables that
-# `_grown` extends.  Readers index the current table without locking; growth
-# builds an extended copy under the lock and swaps the reference, which keeps
-# each table write-once for concurrent callers.  The lock is reentrant because
-# growing the recurrence table can grow the factorial table.  The recurrence
-# table holds c(m)/m!, not c(m); see `_detach_bubbles`.
-_grow_lock = threading.RLock()
+# The factorials and the walk's counts are kept in process-global memos.
+# Readers take the current memo without locking; growth builds an extended
+# copy under the lock and swaps the reference, so a memo, once published,
+# is never written again and a growth cut short leaves the old one intact.
+_grow_lock = threading.Lock()
 _fact_table = [1, 1]
-_connected_over_fact_table = [1]
-
-
-def _grown(name: str, n: int, step) -> list[int]:
-    """The module table `name`, extended through index n by `step(table, k)`."""
-    table = globals()[name]
-    if n < len(table):
-        return table
-    with _grow_lock:
-        table = globals()[name]
-        if n >= len(table):
-            table = list(table)
-            for k in range(len(table), n + 1):
-                table.append(step(table, k))
-            globals()[name] = table
-        return table
+# c(0..M) and the walk's last diagonal s = M + 1; see `_walk_counts`.
+_walk_memo = ([1], [1, 0])
 
 
 def _fact(n: int) -> int:
+    global _fact_table
     table = _fact_table
     if n < len(table):
         return table[n]
-    return _grown("_fact_table", n, lambda table, k: table[-1] * k)[n]
+    with _grow_lock:
+        table = _fact_table
+        if n >= len(table):
+            table = list(table)
+            for k in range(len(table), n + 1):
+                table.append(table[-1] * k)
+            _fact_table = table
+    return table[n]
 
 
 def _check_order(m: int) -> None:
@@ -114,6 +112,40 @@ def double_factorial(k: int) -> int:
     return (1 << half) * _fact(half)
 
 
+def _walk_counts(m: int) -> list[int]:
+    """The walk's memo of connected counts c(0..M), grown to M >= m.
+
+    The oracle's walk contracts its queued slots in turn, starting from
+    X's.  How a partial walk can finish depends only on r, the queued
+    slots still to contract, and u, the vertices not yet reached.
+    Contracting into one of the 2u slots of an unreached vertex leads to
+    (r+1, u-1), and into one of the r free slots already reached to
+    (r-1, u).  So
+    W(r, u) = 2u W(r+1, u-1) + r W(r-1, u), with W(r, 0) = r! and
+    W(0, u) = 0 for u > 0, as the walk then closed X's component short
+    of some vertex; and c(m) = W(1, m).  The sweep runs one diagonal
+    s = r + u at a time, kept as the list of W(s-u, u) by u.  The memo
+    is returned, not a copy: callers must not change it.
+    """
+    global _walk_memo
+    values, _ = _walk_memo
+    if m < len(values):
+        return values
+    with _grow_lock:
+        values, diagonal = _walk_memo
+        if m >= len(values):
+            values, diagonal = list(values), list(diagonal)
+            for s in range(len(values) + 1, m + 2):
+                # in place: diagonal[u] turns from W(s-1-u, u) into W(s-u, u)
+                diagonal[0] *= s
+                for u in range(1, s):
+                    diagonal[u] = 2 * u * diagonal[u - 1] + (s - u) * diagonal[u]
+                diagonal.append(0)
+                values.append(diagonal[s - 1])
+            _walk_memo = (values, diagonal)
+    return values
+
+
 def _detach_bubbles(scaled: list[int], m: int) -> int:
     """Order m of the recurrence on d = c/m!, from d at the orders below m.
 
@@ -138,18 +170,19 @@ def connected_sequence(m_max: int) -> list[int]:
 
     Order m starts from the factorial total and removes every way of
     detaching a non-empty vacuum part: binom(m, n) time-argument choices
-    times (2n)! bubbles times the connected count of what remains.  The
-    result is a new list; the memoised values behind it are not exposed.
+    times (2n)! bubbles times the connected count of what remains.  Each
+    call builds the sequence afresh and returns a new list.
     """
     _check_order(m_max)
-    scaled = _grown("_connected_over_fact_table", m_max, _detach_bubbles)
-    return [_fact(m) * scaled[m] for m in range(m_max + 1)]
+    scaled = [1]
+    for m in range(1, m_max + 1):
+        scaled.append(_detach_bubbles(scaled, m))
+    return [_fact(m) * d for m, d in enumerate(scaled)]
 
 
 def connected_recurrence(m: int) -> int:
-    """Connected order-m diagram count via the recurrence (the default path)."""
-    _check_order(m)
-    return _fact(m) * _grown("_connected_over_fact_table", m, _detach_bubbles)[m]
+    """Connected order-m diagram count via the bubble-subtraction recurrence."""
+    return connected_sequence(m)[m]
 
 
 def coefficient(n: int, m: int) -> int:
@@ -234,17 +267,17 @@ def arques_walsh(m: int) -> int:
 def distinct_connected(m: int) -> int:
     """Connected order-m diagrams up to the (2m)!! relabeling symmetry.
 
-    Exact division of the recurrence count by the symmetry-group order;
-    a remainder raises ExactnessError.
+    Exact division of the walk's count, read from its memo, by the
+    symmetry-group order; a remainder raises ExactnessError.
     """
     _check_order(m)
     return _exact_div(
-        connected_recurrence(m), double_factorial(2 * m), "connected count over (2m)!!"
+        _walk_counts(m)[m], double_factorial(2 * m), "connected count over (2m)!!"
     )
 
 
 # The routes `count_table` accepts, in the order the command line lists them.
-_COUNT_METHODS = ("recurrence", "closed-form", "arques-walsh", "all")
+_COUNT_METHODS = ("walk", "recurrence", "closed-form", "arques-walsh", "all")
 
 
 @dataclass(frozen=True)
@@ -258,31 +291,34 @@ class CountRow:
     distinct: int
 
 
-def count_table(max_order: int, *, method: str = "recurrence") -> list[CountRow]:
+def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
     """Rows (m, total, bubble, connected, distinct) for 0 <= m <= max_order.
 
-    `method` picks the route to the connected column: "recurrence",
-    "closed-form", "arques-walsh", or "all", which computes every route
-    and raises MethodDisagreementError on any mismatch.
+    `method` picks the route to the connected column: "walk",
+    "recurrence", "closed-form", "arques-walsh", or "all", which computes
+    every route and raises MethodDisagreementError on any mismatch.
     """
     _check_order(max_order)
     if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method: {method!r}")
     dfacts = [double_factorial(2 * m) for m in range(max_order + 1)]
-    if method == "closed-form":
+    if method == "recurrence":
+        connected = connected_sequence(max_order)
+    elif method == "closed-form":
         connected = _closed_form_sequence(max_order)
     elif method == "arques-walsh":
         connected = [d * f for d, f in zip(_arques_walsh_sequence(max_order), dfacts)]
     else:
-        connected = connected_sequence(max_order)
+        connected = _walk_counts(max_order)[: max_order + 1]
     if method == "all":
+        recurrence = connected_sequence(max_order)
         closed = _closed_form_sequence(max_order)
         walsh = _arques_walsh_sequence(max_order)
         for m in range(max_order + 1):
-            if not connected[m] == closed[m] == walsh[m] * dfacts[m]:
+            if not connected[m] == recurrence[m] == closed[m] == walsh[m] * dfacts[m]:
                 raise MethodDisagreementError(
-                    f"order {m}: recurrence={connected[m]}, closed-form={closed[m]}, "
-                    f"arques-walsh*(2m)!!={walsh[m] * dfacts[m]}"
+                    f"order {m}: walk={connected[m]}, recurrence={recurrence[m]}, "
+                    f"closed-form={closed[m]}, arques-walsh*(2m)!!={walsh[m] * dfacts[m]}"
                 )
     rows = []
     for m, value in enumerate(connected):
@@ -428,10 +464,14 @@ def verify_three_path(m_max: int) -> VerificationReport:
 
 
 def verify_divisibility(m_max: int) -> VerificationReport:
-    """Check that (2m)!! divides the connected count exactly for 1 <= m <= m_max."""
+    """Check that (2m)!! divides the walk's connected count for 1 <= m <= m_max.
+
+    The walk counts pairings, so this is orbit-stabiliser on the pairing
+    model: every orbit of the relabeling group has (2m)!! members.
+    """
     if m_max < 1:
         raise _Refusal(f"m_max must be >= 1, got {m_max}")
-    connected = connected_sequence(m_max)
+    connected = _walk_counts(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
         remainder = connected[m] % double_factorial(2 * m)

@@ -18,6 +18,9 @@ COUNTS_300_SHA256 = {
     "csv": "cd3acea571c96cabd44fec04e6ec4477865a33890b11ed8fee5f8ba5f6585728",
     "bfile": "aaf42cbe1c948809d3a2918842d727ff1d612c932c257069cdc75facbdfc6366",
 }
+# sha256 of `counts --max-order 600 --format csv` stdout, the digest the
+# benchmark pins for its deep-table workload
+COUNTS_600_CSV_SHA256 = "039b4e1c7fed7d89b3200eed60c335c81def0afbd5f95ab8d6b5c658e59a5e57"
 # sha256 of `verify --max-order 20 --format json` stdout as the composition-sum
 # coefficient printed it
 VERIFY_20_SHA256 = "1c6d80864b452af7660fb64f6bf1bddff4daf350b8a1c3a2982f6f56ba83bffb"
@@ -81,6 +84,7 @@ def test_counts_json_uses_decimal_strings(capsys):
     code, out, _ = run(capsys, "counts", "--max-order", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
+    assert payload["method"] == "walk"
     assert payload["rows"][3] == {
         "m": 3,
         "total": "5040",
@@ -120,12 +124,18 @@ def test_counts_all_methods_beyond_order_twenty(capsys):
 
 @pytest.mark.parametrize("fmt", sorted(COUNTS_300_SHA256))
 def test_counts_stdout_is_the_same_for_every_method_at_order_300(capsys, fmt):
-    for method in ("recurrence", "closed-form", "arques-walsh", "all"):
+    for method in ("walk", "recurrence", "closed-form", "arques-walsh", "all"):
         code, out, err = run(
             capsys, "counts", "--max-order", "300", "--method", method, "--format", fmt
         )
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == COUNTS_300_SHA256[fmt], method
+
+
+def test_default_counts_csv_at_order_600_keeps_its_bytes(capsys):
+    code, out, err = run(capsys, "counts", "--max-order", "600", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNTS_600_CSV_SHA256
 
 
 def test_counts_output_is_byte_identical(capsys):
@@ -255,6 +265,7 @@ def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
 
     monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
     monkeypatch.setattr(oracle, "iter_matchings", refuse)
+    monkeypatch.setattr(oracle, "_walk_pairings", refuse)
     out_dir = tmp_path / "dots"
     code, out, err = run(
         capsys, "oracle", "--order", "5", "--override", "--dot-dir", str(out_dir)
@@ -372,9 +383,8 @@ def test_internal_value_error_is_not_reported_as_a_refusal(capsys, monkeypatch):
     def broken(scaled, m):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(counting, "_connected_over_fact_table", [1])
     monkeypatch.setattr(counting, "_detach_bubbles", broken)
-    code, out, err = run(capsys, "counts", "--max-order", "3")
+    code, out, err = run(capsys, "counts", "--max-order", "3", "--method", "recurrence")
     assert code == 1
     assert out == ""
     assert err == "error: internal fault\n"
@@ -421,7 +431,7 @@ def test_help_goes_to_stdout_and_exits_zero(capsys):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: feyncount counts [-h] --max-order M\n")
-    assert "[--method {recurrence,closed-form,arques-walsh,all}]" in out
+    assert "[--method {walk,recurrence,closed-form,arques-walsh,all}]" in out
     assert err == ""
 
 

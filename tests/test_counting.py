@@ -1,6 +1,7 @@
-"""Exact counting formulas: factorial totals, recurrence, closed form,
-Arques-Walsh sum, and the identity suites."""
+"""Exact counting formulas: factorial totals, the Wick walk by state,
+recurrence, closed form, Arques-Walsh sum, and the identity suites."""
 
+import functools
 import math
 import sys
 
@@ -12,6 +13,7 @@ from feyncount import counting
 from feyncount.compositions import _Refusal, enumerate_compositions
 from feyncount.counting import (
     ExactnessError,
+    MethodDisagreementError,
     arques_walsh,
     bubble_diagrams,
     coefficient,
@@ -28,6 +30,7 @@ from feyncount.counting import (
     verify_rewrite_identities,
     verify_three_path,
 )
+from feyncount.oracle import enumerate_matchings
 
 CONNECTED = [1, 4, 80, 3552, 271104]
 # m = 5 pinned by three-path agreement (recurrence = closed form = (2m)!! * AW)
@@ -72,6 +75,53 @@ def _connected_by_binomials(m_max):
         )
         connected.append(math.factorial(2 * m + 1) - detachable)
     return connected
+
+
+def _vacuum_parts_by_state(m):
+    """The oracle's vacuum tally by a forward pass over walk states (r, u),
+    a reference used only by these tests.
+
+    From (1, m) with weight 1, a state passes 2u times its weight to
+    (r+1, u-1) and r times to (r-1, u).  A walk that reaches every vertex,
+    (r, 0), completes in r! ways and is connected; one that empties its
+    queue at (0, u) cuts off u vertices, whose 2u slots pair in (2u)! ways.
+    """
+    weight = {(1, m): 1}
+    parts = [0] * (m + 1)
+    # a state's predecessors have a larger r + u, or the same r + u and a larger u
+    for s in range(m + 1, -1, -1):
+        for u in range(s, -1, -1):
+            r = s - u
+            w = weight.pop((r, u), 0)
+            if not w:
+                continue
+            if u == 0:
+                parts[0] += w * math.factorial(r)
+            elif r == 0:
+                parts[u] += w * math.factorial(2 * u)
+            else:
+                weight[r + 1, u - 1] = weight.get((r + 1, u - 1), 0) + 2 * u * w
+                weight[r - 1, u] = weight.get((r - 1, u), 0) + r * w
+    return tuple(parts)
+
+
+@functools.cache
+def _distinct_by_state(r, u):
+    """D(r, u), the walk that enters each fresh vertex as the next label at
+    its unprimed point, a reference used only by these tests."""
+    if u == 0:
+        return math.factorial(r)
+    if r == 0:
+        return 0
+    return _distinct_by_state(r + 1, u - 1) + r * _distinct_by_state(r - 1, u)
+
+
+def _fresh_walk(m):
+    """The walk's counts c(0..m) and last diagonal, built from an empty memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_walk_memo", ([1], [1, 0]))
+        counting._walk_counts(m)
+        return counting._walk_memo
 
 
 def _coefficient_by_multinomial(n, m):
@@ -230,11 +280,44 @@ def test_three_routes_agree_at_random_orders(m):
 @given(st.integers(min_value=0, max_value=200))
 def test_scaled_recurrence_matches_the_unscaled_one(m):
     reference = _connected_by_binomials(m)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_connected_over_fact_table", [1])
-        assert connected_recurrence(m) == reference[m]
-        mp.setattr(counting, "_connected_over_fact_table", [1])
-        assert connected_sequence(m) == reference
+    assert connected_recurrence(m) == reference[m]
+    assert connected_sequence(m) == reference
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_walk_states_give_the_oracle_vacuum_tally(m):
+    parts = _vacuum_parts_by_state(m)
+    assert parts == enumerate_matchings(m).vacuum_parts
+    assert parts[0] == counting._walk_counts(m)[m]
+
+
+def test_forward_and_backward_walks_agree_to_thirty():
+    for m in range(31):
+        parts = _vacuum_parts_by_state(m)
+        assert sum(parts) == math.factorial(2 * m + 1)
+        assert parts[0] == counting._walk_counts(m)[m]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=400))
+def test_walk_matches_the_other_routes_at_random_orders(m):
+    values, _ = _fresh_walk(m)
+    assert values == connected_sequence(m)
+    assert (
+        values[m]
+        == connected_closed_form(m)
+        == arques_walsh(m) * double_factorial(2 * m)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=200))
+def test_walk_is_orbit_stabiliser_on_every_state(m):
+    # W(r, u) = 2**u u! D(r, u) on the last diagonal r + u = m + 1, (1, m) included
+    _, diagonal = _fresh_walk(m)
+    assert len(diagonal) == m + 2
+    for u, walks in enumerate(diagonal):
+        assert walks == (1 << u) * math.factorial(u) * _distinct_by_state(m + 1 - u, u)
 
 
 @settings(max_examples=50, deadline=None)
@@ -373,9 +456,27 @@ def test_count_table_rows():
 
 
 def test_count_table_methods_agree():
-    for method in ("recurrence", "closed-form", "arques-walsh", "all"):
+    for method in ("walk", "recurrence", "closed-form", "arques-walsh", "all"):
         rows = count_table(6, method=method)
         assert [r.connected for r in rows] == connected_sequence(6)
+
+
+def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
+    values, diagonal = _fresh_walk(5)
+    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 3840], diagonal))
+    with pytest.raises(MethodDisagreementError, match=r"order 5: walk=31345920, recurrence="):
+        count_table(5, method="all")
+
+
+def test_distinct_count_is_an_exact_division_of_the_walk(monkeypatch):
+    values, diagonal = _fresh_walk(5)
+    # off by one pairing: no longer a multiple of (2m)!! = 3840
+    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 1], diagonal))
+    with pytest.raises(ExactnessError):
+        distinct_connected(5)
+    with pytest.raises(ExactnessError):
+        count_table(5)
+    assert not verify_divisibility(5).overall
 
 
 def test_count_table_rejects_unknown_method(monkeypatch):
@@ -406,25 +507,35 @@ def test_connected_sequence_returns_a_private_copy():
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=12))
-def test_recurrence_memo_is_independent_of_query_order(orders):
+def test_walk_memo_is_independent_of_query_order(orders):
     reference = count_table(max(orders), method="closed-form")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_connected_over_fact_table", [1])
+        mp.setattr(counting, "_walk_memo", ([1], [1, 0]))
         for m in orders:
             assert distinct_connected(m) == reference[m].distinct
+
+
+def test_walk_growth_leaves_the_published_memo_unchanged(monkeypatch):
+    monkeypatch.setattr(counting, "_walk_memo", ([1], [1, 0]))
+    counting._walk_counts(10)
+    published = counting._walk_memo
+    snapshot = tuple(list(part) for part in published)
+    counting._walk_counts(20)
+    assert counting._walk_memo is not published
+    assert published == snapshot
 
 
 def test_factorial_cache_grows_safely_under_threads(monkeypatch):
     import threading
 
     monkeypatch.setattr(counting, "_fact_table", [1, 1])
-    monkeypatch.setattr(counting, "_connected_over_fact_table", [1])
+    monkeypatch.setattr(counting, "_walk_memo", ([1], [1, 0]))
     factorials = {}
-    connected = {}
+    distinct = {}
 
     def worker(k):
-        # the recurrence grows the factorials too, racing the direct calls
-        connected[k] = connected_recurrence(40 + 3 * k)
+        # the walk's memo grows under the same lock, racing the direct calls
+        distinct[k] = distinct_connected(40 + 3 * k)
         factorials[k] = counting._fact(300 + k)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(32)]
@@ -438,14 +549,12 @@ def test_factorial_cache_grows_safely_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(previous)
     assert not any(t.is_alive() for t in threads)
-    grown = counting._connected_over_fact_table
+    grown = counting._walk_memo
 
-    monkeypatch.setattr(counting, "_connected_over_fact_table", [1])
+    # the memo holds exactly what one sweep from empty builds
+    assert grown == _fresh_walk(40 + 3 * 31)
     fresh = connected_sequence(40 + 3 * 31)
-    # the table holds c(m)/m!, each an exact quotient of the fresh count
-    assert len(grown) == len(fresh)
-    for m, (scaled, count) in enumerate(zip(grown, fresh)):
-        assert divmod(count, math.factorial(m)) == (scaled, 0)
+    assert grown[0] == fresh
     for k in range(32):
         assert factorials[k] == math.factorial(300 + k)
-        assert connected[k] == fresh[40 + 3 * k]
+        assert distinct[k] * double_factorial(2 * (40 + 3 * k)) == fresh[40 + 3 * k]
