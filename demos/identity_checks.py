@@ -3,7 +3,7 @@
 
 Each suite returns a report of named exact-equality checks:
 
-  * convolution      : the factorial total rebuilt from bubble x connected
+  * convolution      : the factorial total rebuilt from bubble x walk counts
   * divisibility     : (2m)!! divides the connected count
   * rewrites         : factorial identities bridging the two count formulas
   * three-path       : recurrence vs closed form vs Arques-Walsh

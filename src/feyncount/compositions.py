@@ -10,6 +10,9 @@ Compositions that use the same parts give equal terms in those
 expansions.  The paper's classificatory sum therefore runs over part
 multisets, the partitions of n, each weighted by how many compositions
 share it (`multiset_multiplicity`): p(n) terms instead of 2**(n-1).
+
+The stream runs in cut-mask order, each composition derived from the
+one before by the successor rule of binary counting.
 """
 
 from __future__ import annotations
@@ -33,26 +36,25 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
 
     A composition corresponds to an (n-1)-bit mask of cut positions
     between n aligned units; masks are traversed in ascending binary
-    order, so the stream starts at (n,) and ends at (1,)*n.  The order
-    is fixed and identical across calls.  n = 0 yields the single empty
-    composition by convention.
+    order, so the stream starts at (n,) and ends at (1,)*n.  Each
+    composition is derived from the one before it (Knuth's binary
+    counting step, TAOCP 7.2.1.1): if mask - 1 ends in t one-bits, its
+    composition is (1,)*t + (p, *rest) with p >= 2, and the composition
+    for mask is (t+1, p-1, *rest).  The order is fixed and identical
+    across calls.  n = 0 yields the single empty composition by
+    convention.
     """
     if n < 0:
         raise _Refusal(f"cannot compose a negative total: {n}")
     if n == 0:
         yield ()
         return
-    for mask in range(1 << (n - 1)):
-        parts = []
-        prev = 0
-        m = mask
-        while m:
-            pos = (m & -m).bit_length()  # cut sits after unit `pos`
-            parts.append(pos - prev)
-            prev = pos
-            m &= m - 1
-        parts.append(n - prev)
-        yield tuple(parts)
+    parts = (n,)
+    yield parts
+    for mask in range(1, 1 << (n - 1)):
+        t = (mask & -mask).bit_length() - 1  # trailing one-bits of mask - 1
+        parts = (t + 1, parts[t] - 1) + parts[t + 1:]
+        yield parts
 
 
 def count_compositions(n: int) -> int:

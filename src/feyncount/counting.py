@@ -374,12 +374,14 @@ class VerificationReport:
 def verify_convolution(m_max: int) -> VerificationReport:
     """Check (2m+1)! = sum_n binom(m,n) (2n)! * connected(m-n) for 1 <= m <= m_max.
 
-    This is the identity the recurrence inverts, so it is evaluated here
-    in the uninverted direction as an independent consistency pass.
+    The connected counts are the walk's.  The recurrence inverts this
+    identity, so checked against it the rows would hold by construction;
+    the walk derives its counts from the pairing model instead, so these
+    rows test it against the vacuum split of the (2m+1)! pairings.
     """
     if m_max < 1:
         raise _Refusal(f"m_max must be >= 1, got {m_max}")
-    connected = connected_sequence(m_max)
+    connected = _walk_counts(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
         rebuilt = sum(

@@ -8,7 +8,7 @@ slots, stored as a tuple p with p[a] = c.  Slot 0 is the external slot
 (X on the annihilation side, Y on the creation side); slots 2i-1 and 2i
 belong to vertex i.  This layout is written out where it is used:
 `diagram_edges` maps slots to graph nodes, and the walks find a slot's
-partner at the same vertex by arithmetic.
+partner at the same vertex by arithmetic, tabled once per walk.
 
 One queue rule from slot 0 reads a pairing: each queued slot's
 contraction that reaches a new vertex numbers it, the slot reached
@@ -22,11 +22,13 @@ is how `canonical_form` names a diagram.
 
 `orbit_census` and `enumerate_matchings` do not read pairings one by
 one: a depth-first walk builds them in the rule's own slot order, so a
-prefix that pairings share is walked once, with its queue, labels and
-canonical prefix carried down the tree.  The walk tallies every pairing
-by vacuum size and counts the orbit minimum of each connected pairing
-with p[0] == 1; since the symmetry group moves p[0] transitively over
-1..2m, one in 2m of every orbit's members lies in that shard.
+prefix that pairings share is walked once, with its queue length, labels
+and canonical prefix carried down the tree.  A prefix with nothing left
+to reach is tallied in the loop that built it, completion by completion,
+without a further call.  The walk tallies every pairing by vacuum size
+and counts the orbit minimum of each connected pairing with p[0] == 1;
+since the symmetry group moves p[0] transitively over 1..2m, one in 2m
+of every orbit's members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
@@ -249,14 +251,16 @@ def _walk_pairings(
 
     A depth-first walk builds each pairing in the order `_reached` reads
     its slots: the i-th queued slot is contracted with each free creation
-    slot in ascending order, and the queue, the labels and the canonical
-    prefix (each contraction's new number) are carried down the tree and
-    undone on the way back.  A prefix stops growing when nothing is left
-    to reach: either the queue has run out, so the queued slots are closed
-    under the pairing and every completion cuts the other vertices off, or
-    it holds all slots, so every completion is connected and its orbit
-    minimum is the prefix followed by the labels in the order taken.  Each
-    completion, a permutation of the free creation slots, is tallied.
+    slot in ascending order, and the queue length, the labels and the
+    canonical prefix (each contraction's new number) are carried down the
+    tree and undone on the way back.  A prefix stops growing when nothing
+    is left to reach: either the queue has run out, so the queued slots
+    are closed under the pairing and every completion cuts the other
+    vertices off, or it holds all slots, so every completion is connected
+    and its orbit minimum is the prefix followed by the labels in the
+    order taken.  The loop that makes the last contraction of such a
+    prefix tallies it on the spot, one completion, a permutation of the
+    free creation slots, at a time.
 
     With `first_image`, slot 0 is contracted with that slot only.  Given
     `shard`, each connected pairing with p[0] == 1 adds 1 to its orbit
@@ -264,38 +268,38 @@ def _walk_pairings(
     """
     n = 2 * m + 1
     parts = [0] * (m + 1)
+    partner = [0] + [c + 1 if c & 1 else c - 1 for c in range(1, n)]
     free = list(range(n))  # creation slots not yet contracted, ascending
     label = [0] + [-1] * (n - 1)  # new number of each numbered slot
-    queue = [0]
     prefix: list[int] = []
 
-    def extend(i: int) -> None:
-        if i == len(queue) or len(queue) == n:
-            vacuum = (n - len(queue)) // 2
-            # queue[1] is the slot p[0] reached, so p[0] == 1 exactly when it is 1
-            record = not vacuum and shard is not None and queue[1] == 1
-            for tail in itertools.permutations(free):
-                parts[vacuum] += 1
-                if record:
-                    shard[(*prefix, *(label[c] for c in tail))] += 1
-            return
+    def extend(i: int, queued: int) -> None:
         # at i == 0 every slot is free, so slot first_image sits at that index
         for j in range(len(free)) if i or first_image is None else (first_image,):
             c = free.pop(j)
-            fresh = label[c] < 0
-            if fresh:
-                partner = c + 1 if c & 1 else c - 1
-                label[c], label[partner] = len(queue), len(queue) + 1
-                queue.extend((c, partner))
+            reached = queued
+            if label[c] < 0:
+                label[c], label[partner[c]] = queued, queued + 1
+                reached += 2
             prefix.append(label[c])
-            extend(i + 1)
+            if i + 1 < reached < n:
+                extend(i + 1, reached)
+            # slot 1 is numbered 1 exactly when p[0] == 1
+            elif reached == n and shard is not None and label[1] == 1:
+                head = tuple(prefix)
+                for tail in itertools.permutations([label[d] for d in free]):
+                    parts[0] += 1
+                    shard[head + tail] += 1
+            else:
+                vacuum = (n - reached) // 2
+                for _ in itertools.permutations(free):
+                    parts[vacuum] += 1
             prefix.pop()
-            if fresh:
-                del queue[-2:]
-                label[c] = label[partner] = -1
+            if reached > queued:
+                label[c] = label[partner[c]] = -1
             free.insert(j, c)
 
-    extend(0)
+    extend(0, 1)
     return parts
 
 

@@ -1,17 +1,23 @@
 """Composition enumeration, counting, and multiset multiplicities."""
 
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feyncount.cli import main
 from feyncount.compositions import (
     _part_multisets,
     count_compositions,
     enumerate_compositions,
     multiset_multiplicity,
 )
+
+# sha256 of `compositions --n 16 --list` stdout (557,312 bytes) as the
+# stream printed it when every mask was decoded cut by cut
+COMPOSITIONS_16_LIST_SHA256 = "1522e2d7d496761a0037eeded4d6ccd702806957926a3f524260acaafb2b6c84"
 
 # The worked 16-entry display for a total of 5.
 FIVE_LIST = {
@@ -42,6 +48,35 @@ def test_cut_mask_order_for_four():
     assert list(enumerate_compositions(4)) == [
         (4,), (1, 3), (2, 2), (1, 1, 2), (3, 1), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1),
     ]
+
+
+def _decoded_compositions(n):
+    """Reference stream: each ascending cut mask decoded on its own."""
+    if n == 0:
+        yield ()
+        return
+    for mask in range(1 << (n - 1)):
+        parts = []
+        prev = 0
+        while mask:
+            pos = (mask & -mask).bit_length()  # cut sits after unit `pos`
+            parts.append(pos - prev)
+            prev = pos
+            mask &= mask - 1
+        parts.append(n - prev)
+        yield tuple(parts)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_successor_rule_matches_the_mask_decoder(n):
+    assert list(enumerate_compositions(n)) == list(_decoded_compositions(n))
+
+
+def test_listing_of_sixteen_is_pinned(capsys):
+    assert main(["compositions", "--n", "16", "--list"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 557312
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPOSITIONS_16_LIST_SHA256
 
 
 def test_empty_total_convention():

@@ -282,12 +282,14 @@ def test_orbit_census_raises_under_python_dash_o():
     assert "RuntimeError" in result.stderr and "do not add up" in result.stderr
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_walk_matches_the_reference_stream_shard_by_shard(m):
     # every shard of the walk against the lexicographic stream: the vacuum
     # tally by an independent BFS, and the p[0] == 1 orbit minima with
-    # their multiplicities, which only shard 1 holds
-    for c in range(2 * m + 1):
+    # their multiplicities, which only shard 1 holds.  At m = 4 only shard
+    # 1 (40,320 pairings) is checked: its recorded leaves reach 5 free
+    # slots, which no smaller order does.
+    for c in range(2 * m + 1) if m < 4 else (1,):
         shard = Counter()
         parts = oracle._walk_pairings(m, c, shard)
         tally = [0] * (m + 1)
@@ -300,13 +302,11 @@ def test_walk_matches_the_reference_stream_shard_by_shard(m):
         assert parts == tally
         assert shard == forms
         assert sum(shard.values()) == (tally[0] if c == 1 else 0)
+        if c == 1:
+            shard_one = forms
     shard = Counter()
     oracle._walk_pairings(m, shard=shard)
-    assert shard == Counter(
-        canonical_form(p, m).pairing
-        for p in iter_matchings(m, first_image=1)
-        if matching_is_connected(p, m)
-    )
+    assert shard == shard_one
 
 
 @pytest.mark.parametrize("c", [5, -1])
