@@ -47,7 +47,6 @@ from .oracle import (
     diagram_edges,
     enumerate_matchings,
     export_diagram,
-    iter_matchings,
     matching_is_connected,
     orbit_census,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "diagram_edges",
     "enumerate_matchings",
     "export_diagram",
-    "iter_matchings",
     "matching_is_connected",
     "orbit_census",
 ]

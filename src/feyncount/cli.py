@@ -9,7 +9,6 @@ numbers.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,6 +30,12 @@ def _print_aligned(rows: list[list[str]]) -> None:
         print("  ".join(cell.rjust(width) for width, cell in zip(widths, row)))
 
 
+def _print_csv(rows: list) -> None:
+    # the cells are digits and fixed names, which CSV never quotes
+    for row in rows:
+        print(",".join(row))
+
+
 def cmd_counts(args: argparse.Namespace) -> int:
     rows = counting.count_table(args.max_order, method=args.method)
     header = ["m", "total", "bubble", "connected", "distinct"]
@@ -41,30 +46,20 @@ def cmd_counts(args: argparse.Namespace) -> int:
     if args.format == "table":
         _print_aligned([header] + cells)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
+        _print_csv([header] + cells)
     elif args.format == "json":
         payload = {
             "max_order": args.max_order,
             "method": args.method,
             "rows": [
-                {
-                    "m": r.m,
-                    "total": str(r.total),
-                    "bubble": str(r.bubble),
-                    "connected": str(r.connected),
-                    "distinct": str(r.distinct),
-                }
-                for r in rows
+                {"m": r.m, **dict(zip(header[1:], row[1:]))} for r, row in zip(rows, cells)
             ],
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "bfile":
         # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
-        for r in rows:
-            if r.m >= 1:
-                print(f"{r.m} {r.distinct}")
+        for m, *_, distinct in cells[1:]:
+            print(f"{m} {distinct}")
     return 0
 
 
@@ -182,9 +177,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.format == "table":
         _print_aligned([[k, v] for k, v in pairs])
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerows(pairs)
+        _print_csv([("metric", "value")] + pairs)
     elif args.format == "json":
         payload: dict = {
             "order": m,

@@ -88,7 +88,9 @@ def _check_order(m: int) -> None:
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise ExactnessError(f"{what}: {numerator} is not divisible by {denominator}")
+        raise ExactnessError(
+            f"{what}: {_render(numerator)} is not divisible by {_render(denominator)}"
+        )
     return quotient
 
 
@@ -317,8 +319,9 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
         for m in range(max_order + 1):
             if not connected[m] == recurrence[m] == closed[m] == walsh[m] * dfacts[m]:
                 raise MethodDisagreementError(
-                    f"order {m}: walk={connected[m]}, recurrence={recurrence[m]}, "
-                    f"closed-form={closed[m]}, arques-walsh*(2m)!!={walsh[m] * dfacts[m]}"
+                    f"order {m}: walk={_render(connected[m])}, "
+                    f"recurrence={_render(recurrence[m])}, closed-form={_render(closed[m])}, "
+                    f"arques-walsh*(2m)!!={_render(walsh[m] * dfacts[m])}"
                 )
     rows = []
     for m, value in enumerate(connected):
@@ -328,7 +331,7 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
 
 
 def _render(value) -> str:
-    """Exact text of a check value.
+    """Exact text of a check value, or of a count in an error message.
 
     Integers go through `Decimal`, which prints the same digits as `str`
     but is not subject to CPython's int -> str digit limit.
@@ -371,6 +374,11 @@ class VerificationReport:
         return all(check.passed for check in self.checks)
 
 
+def _check_suite_order(m_max: int) -> None:
+    if m_max < 1:
+        raise _Refusal(f"m_max must be >= 1, got {m_max}")
+
+
 def verify_convolution(m_max: int) -> VerificationReport:
     """Check (2m+1)! = sum_n binom(m,n) (2n)! * connected(m-n) for 1 <= m <= m_max.
 
@@ -379,8 +387,7 @@ def verify_convolution(m_max: int) -> VerificationReport:
     the walk derives its counts from the pairing model instead, so these
     rows test it against the vacuum split of the (2m+1)! pairings.
     """
-    if m_max < 1:
-        raise _Refusal(f"m_max must be >= 1, got {m_max}")
+    _check_suite_order(m_max)
     connected = _walk_counts(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
@@ -398,8 +405,7 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     -sum_{n=s}^{m} binom(m+1, m-n+1) * (2(m-n+1))! * weight(s, n).
     Failing pairs are reported, not raised.
     """
-    if m_max < 1:
-        raise _Refusal(f"m_max must be >= 1, got {m_max}")
+    _check_suite_order(m_max)
     # each weight either side reads is evaluated directly, once
     weight = {
         (s, n): coefficient(s, n)
@@ -423,8 +429,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
     For 1 <= n <= m_max: total(n) = (n!/2) * bubble(n+1)/(n+1)!  and
     bubble(n) = bubble(1) * bubble(n) / 2, both with exact division.
     """
-    if m_max < 1:
-        raise _Refusal(f"m_max must be >= 1, got {m_max}")
+    _check_suite_order(m_max)
     report = VerificationReport()
     for n in range(1, m_max + 1):
         numerator = _fact(n) * bubble_diagrams(n + 1)
@@ -448,8 +453,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
 
 def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
-    if m_max < 1:
-        raise _Refusal(f"m_max must be >= 1, got {m_max}")
+    _check_suite_order(m_max)
     connected = connected_sequence(m_max)
     closed = _closed_form_sequence(m_max)
     walsh = _arques_walsh_sequence(m_max)
@@ -471,8 +475,7 @@ def verify_divisibility(m_max: int) -> VerificationReport:
     The walk counts pairings, so this is orbit-stabiliser on the pairing
     model: every orbit of the relabeling group has (2m)!! members.
     """
-    if m_max < 1:
-        raise _Refusal(f"m_max must be >= 1, got {m_max}")
+    _check_suite_order(m_max)
     connected = _walk_counts(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):

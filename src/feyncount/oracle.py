@@ -20,15 +20,16 @@ the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).  The numbers the
 rule hands out build the orbit's lexicographic minimum directly, which
 is how `canonical_form` names a diagram.
 
-`orbit_census` and `enumerate_matchings` do not read pairings one by
-one: a depth-first walk builds them in the rule's own slot order, so a
-prefix that pairings share is walked once, with its queue length, labels
-and canonical prefix carried down the tree.  A prefix with nothing left
-to reach is tallied in the loop that built it, completion by completion,
-without a further call.  The walk tallies every pairing by vacuum size
-and counts the orbit minimum of each connected pairing with p[0] == 1;
-since the symmetry group moves p[0] transitively over 1..2m, one in 2m
-of every orbit's members lies in that shard.
+One depth-first walk serves both entry points, `enumerate_matchings`
+and `orbit_census`.  It builds the pairings in the rule's own slot
+order rather than reading them one by one, so a prefix that pairings
+share is walked once, with its queue length, labels and canonical
+prefix carried down the tree.  A prefix with nothing left to reach is
+tallied in the loop that built it, completion by completion, without a
+further call.  The walk tallies every pairing by vacuum size and counts
+the orbit minimum of each connected pairing with p[0] == 1; since the
+symmetry group moves p[0] transitively over 1..2m, one in 2m of every
+orbit's members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
@@ -41,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .compositions import _Refusal
@@ -126,32 +126,6 @@ def _check_cap(m: int, override: bool, keyword: str = "override=True") -> None:
         )
 
 
-def _check_shard(m: int, first_image: int | None) -> None:
-    if first_image is not None and not 0 <= first_image <= 2 * m:
-        raise _Refusal(f"first_image must be a creation slot index, got {first_image}")
-
-
-def iter_matchings(m: int, *, first_image: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield pairings in lexicographic order, optionally one shard.
-
-    With `first_image` = c, only pairings sending annihilation slot 0 to
-    creation slot c are produced; the 2m+1 shards partition the full
-    stream and concatenating them in ascending c reproduces it exactly.
-    The census walks the pairings in its own order; this stream is the
-    plain reference it is checked against.
-    """
-    _check_order(m)
-    _check_shard(m, first_image)
-    n = 2 * m + 1
-    if first_image is None:
-        yield from itertools.permutations(range(n))
-        return
-    rest = [c for c in range(n) if c != first_image]
-    head = (first_image,)
-    for tail in itertools.permutations(rest):
-        yield head + tail
-
-
 def diagram_edges(pairing: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     """Edge multiset of the induced multigraph, one edge per contraction.
 
@@ -204,19 +178,13 @@ def matching_is_connected(pairing: tuple[int, ...], m: int) -> bool:
     return _vacuum_size(pairing) == 0
 
 
-def enumerate_matchings(
-    m: int, *, override: bool = False, first_image: int | None = None
-) -> MatchCensus:
+def enumerate_matchings(m: int, *, override: bool = False) -> MatchCensus:
     """Tally all pairings by the size of their vacuum part, exhaustively.
 
-    The pairings come from the census's walk, not from `iter_matchings`.
-    With `first_image`, only that shard is tallied: the pairings that
-    contract slot 0 with creation slot `first_image`.  The shards'
-    tallies add up to the full one.
+    The tally comes from the census's walk, without its orbit minima.
     """
     _check_cap(m, override)
-    _check_shard(m, first_image)
-    return MatchCensus(tuple(_walk_pairings(m, first_image)))
+    return MatchCensus(tuple(_walk_pairings(m)))
 
 
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
@@ -244,9 +212,7 @@ def _relabelled(pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)) -> tupl
     )
 
 
-def _walk_pairings(
-    m: int, first_image: int | None = None, shard: Counter | None = None
-) -> list[int]:
+def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
     """Tally every pairing by vacuum-part size, built in relabelling order.
 
     A depth-first walk builds each pairing in the order `_reached` reads
@@ -262,9 +228,8 @@ def _walk_pairings(
     prefix tallies it on the spot, one completion, a permutation of the
     free creation slots, at a time.
 
-    With `first_image`, slot 0 is contracted with that slot only.  Given
-    `shard`, each connected pairing with p[0] == 1 adds 1 to its orbit
-    minimum there.
+    Given `shard`, each connected pairing with p[0] == 1 adds 1 to its
+    orbit minimum there.
     """
     n = 2 * m + 1
     parts = [0] * (m + 1)
@@ -274,8 +239,7 @@ def _walk_pairings(
     prefix: list[int] = []
 
     def extend(i: int, queued: int) -> None:
-        # at i == 0 every slot is free, so slot first_image sits at that index
-        for j in range(len(free)) if i or first_image is None else (first_image,):
+        for j in range(len(free)):
             c = free.pop(j)
             reached = queued
             if label[c] < 0:

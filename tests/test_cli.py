@@ -13,17 +13,26 @@ import pytest
 from feyncount import cli, counting, oracle
 from feyncount.cli import main
 
-# sha256 of `counts --max-order 300` stdout as the unscaled recurrence printed it
+# sha256 of `counts --max-order 300` stdout as the unscaled recurrence printed it;
+# no format but json names the method, so each holds for every method
 COUNTS_300_SHA256 = {
+    "table": "5804354e8697efb382027933654459fc636310983ce998b5eee684f34a8eda99",
     "csv": "cd3acea571c96cabd44fec04e6ec4477865a33890b11ed8fee5f8ba5f6585728",
     "bfile": "aaf42cbe1c948809d3a2918842d727ff1d612c932c257069cdc75facbdfc6366",
 }
+# sha256 of `counts --max-order 300 --format json` stdout for the default method
+COUNTS_300_JSON_SHA256 = "033769a0689e4411624c82b2ed44e3d4ed6e628b6dffc9bfff2bc9daae68c6d3"
 # sha256 of `counts --max-order 600 --format csv` stdout, the digest the
 # benchmark pins for its deep-table workload
 COUNTS_600_CSV_SHA256 = "039b4e1c7fed7d89b3200eed60c335c81def0afbd5f95ab8d6b5c658e59a5e57"
 # sha256 of `verify --max-order 20 --format json` stdout as the composition-sum
 # coefficient printed it
 VERIFY_20_SHA256 = "1c6d80864b452af7660fb64f6bf1bddff4daf350b8a1c3a2982f6f56ba83bffb"
+# sha256 of `oracle --order 4` stdout by format, as csv.writer wrote the csv
+ORACLE_4_SHA256 = {
+    "table": "2f54bff3bca19273229dcef09e66267bc22d2ccbee9f48b54456648ad168a4ce",
+    "csv": "b302f18a9cc03a717eed7ce54436c6ffdabeac3281122b9095d06a0a09081d5e",
+}
 # sha256 over the DOT files of `export --order 4` in name order (name, NUL,
 # bytes, NUL per file) as the group-expanding orbit census wrote them
 EXPORT_4_DOT_SHA256 = "b0c42b36b17a4a2de77c4988af7a4f0abb1040b39e5e14781ed421acc2002471"
@@ -132,6 +141,12 @@ def test_counts_stdout_is_the_same_for_every_method_at_order_300(capsys, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == COUNTS_300_SHA256[fmt], method
 
 
+def test_default_counts_json_at_order_300_keeps_its_bytes(capsys):
+    code, out, err = run(capsys, "counts", "--max-order", "300", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNTS_300_JSON_SHA256
+
+
 def test_default_counts_csv_at_order_600_keeps_its_bytes(capsys):
     code, out, err = run(capsys, "counts", "--max-order", "600", "--format", "csv")
     assert (code, err) == (0, "")
@@ -224,6 +239,13 @@ def test_oracle_csv(capsys):
     assert "connected,4" in out.splitlines()
 
 
+@pytest.mark.parametrize("fmt", sorted(ORACLE_4_SHA256))
+def test_oracle_order_four_keeps_its_bytes(capsys, fmt):
+    code, out, err = run(capsys, "oracle", "--order", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_4_SHA256[fmt]
+
+
 def test_oracle_refuses_order_six_with_cost(capsys):
     code, out, err = run(capsys, "oracle", "--order", "6")
     assert code == 2
@@ -264,7 +286,6 @@ def test_oracle_refuses_dot_export_above_census_cap_before_enumerating(
         raise AssertionError("enumerated before refusing")
 
     monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
-    monkeypatch.setattr(oracle, "iter_matchings", refuse)
     monkeypatch.setattr(oracle, "_walk_pairings", refuse)
     out_dir = tmp_path / "dots"
     code, out, err = run(

@@ -479,6 +479,21 @@ def test_distinct_count_is_an_exact_division_of_the_walk(monkeypatch):
     assert not verify_divisibility(5).overall
 
 
+def test_errors_render_counts_past_the_int_str_digit_limit(monkeypatch):
+    # a walk count of 5001 digits planted at order 5, under the default limit
+    values, diagonal = _fresh_walk(5)
+    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [10**5000 + 1], diagonal))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ExactnessError, match=r": 10{4999}1 is not divisible by 3840$"):
+            distinct_connected(5)
+        with pytest.raises(MethodDisagreementError, match=r"order 5: walk=10{4999}1, rec"):
+            count_table(5, method="all")
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_count_table_rejects_unknown_method(monkeypatch):
     with pytest.raises(ValueError):
         count_table(3, method="guesswork")

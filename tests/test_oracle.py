@@ -24,7 +24,6 @@ from feyncount.oracle import (
     diagram_edges,
     enumerate_matchings,
     export_diagram,
-    iter_matchings,
     matching_is_connected,
     orbit_census,
     _vacuum_size,
@@ -94,8 +93,6 @@ def _pairings(draw, max_order):
 def test_pairing_entry_points_refuse_orders_below_one(m):
     identity = tuple(range(2 * m + 1))
     with pytest.raises(_Refusal, match="order must be >= 1"):
-        list(iter_matchings(m))
-    with pytest.raises(_Refusal, match="order must be >= 1"):
         canonical_form(identity, m)
     with pytest.raises(_Refusal, match="order must be >= 1"):
         matching_is_connected(identity, m)
@@ -124,44 +121,12 @@ def test_vacuum_census(m, vacuum):
     assert census.vacuum == math.factorial(2 * m) == vacuum
 
 
-def test_enumeration_is_exhaustive_and_duplicate_free():
-    seen = set()
-    for p in iter_matchings(2):
-        assert p not in seen
-        seen.add(p)
-        assert sorted(p) == list(range(5))
-    assert len(seen) == 120
-
-
-def test_shards_partition_the_stream():
-    full = list(iter_matchings(2))
-    shards = [list(iter_matchings(2, first_image=c)) for c in range(5)]
-    assert sum(len(s) for s in shards) == 120
-    assert [p for shard in shards for p in shard] == full
-    # per-shard census counts merge to the full census regardless of grouping
-    totals = [enumerate_matchings(2, first_image=c) for c in range(5)]
-    assert sum(c.total for c in totals) == 120
-    assert sum(c.connected for c in totals) == 80
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=1, max_value=3))
-def test_shard_tallies_add_up_to_the_census(m):
-    shards = [enumerate_matchings(m, first_image=c).vacuum_parts for c in range(2 * m + 1)]
-    assert tuple(map(sum, zip(*shards))) == enumerate_matchings(m).vacuum_parts
-
-
-def test_shard_index_out_of_range():
-    with pytest.raises(ValueError):
-        list(iter_matchings(2, first_image=5))
-
-
 def test_diagram_edges_shape():
     # X once on the annihilation side, Y once on the creation side, and
     # every vertex twice on each side, whatever the pairing
     for m in (1, 2, 3):
         vertices = sorted(2 * list(range(2, m + 2)))
-        for p in iter_matchings(m):
+        for p in itertools.permutations(range(2 * m + 1)):
             edges = diagram_edges(p, m)
             assert sorted(u for u, _ in edges) == [0] + vertices
             assert sorted(v for _, v in edges) == [1] + vertices
@@ -174,7 +139,7 @@ def test_diagram_edges_order_one_self_loop():
 def test_connectivity_matches_independent_reference():
     for m in (1, 2, 3):
         n_connected = 0
-        for p in iter_matchings(m):
+        for p in itertools.permutations(range(2 * m + 1)):
             component = _bfs_component_of_x(p, m)
             # X and Y can never split apart
             assert 1 in component
@@ -196,7 +161,7 @@ def test_vacuum_size_matches_reference_and_is_group_invariant(drawn, data):
 
 
 def test_order_one_connected_classification():
-    by_hand = {p: matching_is_connected(p, 1) for p in iter_matchings(1)}
+    by_hand = {p: matching_is_connected(p, 1) for p in itertools.permutations(range(3))}
     # the two pairings that close the vertex off from the externals
     assert not by_hand[(0, 1, 2)]
     assert not by_hand[(0, 2, 1)]
@@ -284,39 +249,26 @@ def test_orbit_census_raises_under_python_dash_o():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_walk_matches_the_reference_stream_shard_by_shard(m):
-    # every shard of the walk against the lexicographic stream: the vacuum
-    # tally by an independent BFS, and the p[0] == 1 orbit minima with
-    # their multiplicities, which only shard 1 holds.  At m = 4 only shard
-    # 1 (40,320 pairings) is checked: its recorded leaves reach 5 free
-    # slots, which no smaller order does.
-    for c in range(2 * m + 1) if m < 4 else (1,):
-        shard = Counter()
-        parts = oracle._walk_pairings(m, c, shard)
-        tally = [0] * (m + 1)
-        forms = Counter()
-        for p in iter_matchings(m, first_image=c):
-            vacuum = m + 2 - len(_bfs_component_of_x(p, m))
-            tally[vacuum] += 1
-            if not vacuum and p[0] == 1:
-                forms[canonical_form(p, m).pairing] += 1
-        assert parts == tally
-        assert shard == forms
-        assert sum(shard.values()) == (tally[0] if c == 1 else 0)
-        if c == 1:
-            shard_one = forms
+    # the whole walk against the plain stream of pairings: the vacuum
+    # tally by an independent BFS, and the orbit minima of the connected
+    # pairings with p[0] == 1, with their multiplicities.  At m = 4 only
+    # the 40,320 pairings (1, *tail) are read, as the recorded leaves
+    # reach 5 free slots there and at no smaller order; the order-4
+    # vacuum tally is test_walk_states_give_the_oracle_vacuum_tally's.
     shard = Counter()
-    oracle._walk_pairings(m, shard=shard)
-    assert shard == shard_one
-
-
-@pytest.mark.parametrize("c", [5, -1])
-def test_shard_index_is_checked_before_any_pairing_is_walked(c, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("walked before refusing")
-
-    monkeypatch.setattr(oracle, "_walk_pairings", refuse)
-    with pytest.raises(_Refusal, match="first_image"):
-        enumerate_matchings(2, first_image=c)
+    parts = oracle._walk_pairings(m, shard)
+    if m < 4:
+        tally = [0] * (m + 1)
+        for p in itertools.permutations(range(2 * m + 1)):
+            tally[m + 2 - len(_bfs_component_of_x(p, m))] += 1
+        assert parts == tally
+    tails = itertools.permutations([0, *range(2, 2 * m + 1)])
+    forms = Counter(
+        canonical_form(p, m).pairing
+        for p in ((1, *tail) for tail in tails)
+        if len(_bfs_component_of_x(p, m)) == m + 2
+    )
+    assert shard == forms
 
 
 def test_census_representatives_are_canonical():
@@ -327,13 +279,13 @@ def test_census_representatives_are_canonical():
 
 def test_canonical_form_classifies_orbits():
     # full per-pairing minimization must produce exactly the census keys,
-    # all in the first-image-1 shard and in lexicographic order
+    # all in the p[0] == 1 shard and in lexicographic order
     for m in (1, 2, 3):
         reps = [d.pairing for d in orbit_census(m).representatives]
         assert all(p[0] == 1 for p in reps)
         forms = {
             canonical_form(p, m).pairing
-            for p in iter_matchings(m)
+            for p in itertools.permutations(range(2 * m + 1))
             if matching_is_connected(p, m)
         }
         assert reps == sorted(forms)
@@ -343,7 +295,7 @@ def test_canonical_form_is_the_group_minimum_on_every_pairing():
     # disconnected pairings too, where the walk branches over each
     # vacuum part's root
     for m in (1, 2, 3):
-        for p in iter_matchings(m):
+        for p in itertools.permutations(range(2 * m + 1)):
             assert canonical_form(p, m).pairing == _group_minimum(p, m), p
 
 
