@@ -12,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import counting, oracle
@@ -30,23 +32,45 @@ def _print_aligned(rows: list[list[str]]) -> None:
         print("  ".join(cell.rjust(width) for width, cell in zip(widths, row)))
 
 
-def _print_csv(rows: list) -> None:
+def _print_csv(rows: Iterable) -> None:
     # the cells are digits and fixed names, which CSV never quotes
     for row in rows:
         print(",".join(row))
 
 
+def _count_cells(rows: list[counting.CountRow]) -> Iterator[list[str]]:
+    """The cells of `count_table` rows from order 0 up, one row at a time.
+
+    The total and bubble columns are the factorials (2m+1)! and (2m)!, so
+    they come from a running product in `decimal`, whose multiply by a small
+    int and whose text are linear in the digits; `str(int)` is quadratic
+    before CPython 3.12.
+    """
+    # imported here so that processes printing no count table never load it
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    bubble = Decimal(1)  # (2m)!
+    for r in rows:
+        total = exact.multiply(bubble, 2 * r.m + 1)
+        yield [str(r.m), str(total), str(bubble), str(r.connected), str(r.distinct)]
+        bubble = exact.multiply(total, 2 * r.m + 2)
+
+
 def cmd_counts(args: argparse.Namespace) -> int:
     rows = counting.count_table(args.max_order, method=args.method)
+    if args.format == "bfile":
+        # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
+        for r in rows[1:]:
+            print(f"{r.m} {r.distinct}")
+        return 0
     header = ["m", "total", "bubble", "connected", "distinct"]
-    cells = [
-        [str(r.m), str(r.total), str(r.bubble), str(r.connected), str(r.distinct)]
-        for r in rows
-    ]
+    cells = _count_cells(rows)
     if args.format == "table":
-        _print_aligned([header] + cells)
+        _print_aligned([header, *cells])
     elif args.format == "csv":
-        _print_csv([header] + cells)
+        # each row is printed as it is made, so its text is never all alive
+        _print_csv(chain([header], cells))
     elif args.format == "json":
         payload = {
             "max_order": args.max_order,
@@ -56,10 +80,6 @@ def cmd_counts(args: argparse.Namespace) -> int:
             ],
         }
         print(json.dumps(payload, indent=2))
-    elif args.format == "bfile":
-        # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
-        for m, *_, distinct in cells[1:]:
-            print(f"{m} {distinct}")
     return 0
 
 

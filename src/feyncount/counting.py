@@ -26,8 +26,9 @@ closed form's series.
 The recurrence and the closed form both run on c(m)/m!, the connected
 count divided by m!: the binomials of the recurrence and the falling
 factorials of the closed form cancel, and the operands are about half the
-size.  Each multiplies back by m! before returning, so callers only see
-the counts.
+size.  The walk likewise runs on V(r, u) = W(r, u)/u!, where its 2u
+multiplier becomes a doubling.  All three multiply back by m!, the walk as
+c(m) = m! V(1, m), so callers only see the counts.
 
 The factorials and the walk's counts are memoised once per process in
 write-once memos, so a per-order query after the first is a lookup.  The
@@ -61,7 +62,7 @@ class MethodDisagreementError(Exception):
 # is never written again and a growth cut short leaves the old one intact.
 _grow_lock = threading.Lock()
 _fact_table = [1, 1]
-# c(0..M) and the walk's last diagonal s = M + 1; see `_walk_counts`.
+# c(0..M) and the walk's last diagonal s = M + 1, of V = W/u!; see `_walk_counts`.
 _walk_memo = ([1], [1, 0])
 
 
@@ -125,9 +126,12 @@ def _walk_counts(m: int) -> list[int]:
     (r-1, u).  So
     W(r, u) = 2u W(r+1, u-1) + r W(r-1, u), with W(r, 0) = r! and
     W(0, u) = 0 for u > 0, as the walk then closed X's component short
-    of some vertex; and c(m) = W(1, m).  The sweep runs one diagonal
-    s = r + u at a time, kept as the list of W(s-u, u) by u.  The memo
-    is returned, not a copy: callers must not change it.
+    of some vertex; and c(m) = W(1, m).  The sweep runs on
+    V(r, u) = W(r, u)/u!, where the 2u becomes a doubling:
+    V(r, u) = 2 V(r+1, u-1) + r V(r-1, u), V(r, 0) = r!, and
+    c(m) = m! V(1, m).  It takes one diagonal s = r + u at a time, kept
+    as the list of V(s-u, u) by u.  The memo is returned, not a copy:
+    callers must not change it.
     """
     global _walk_memo
     values, _ = _walk_memo
@@ -138,12 +142,15 @@ def _walk_counts(m: int) -> list[int]:
         if m >= len(values):
             values, diagonal = list(values), list(diagonal)
             for s in range(len(values) + 1, m + 2):
-                # in place: diagonal[u] turns from W(s-1-u, u) into W(s-u, u)
-                diagonal[0] *= s
+                # in place: diagonal[u] turns from V(s-1-u, u) into V(s-u, u).
+                # diagonal[0] is (s-1)!; `_fact` would take the lock again and hang
+                fact = diagonal[0]
+                walks = diagonal[0] = fact * s
                 for u in range(1, s):
-                    diagonal[u] = 2 * u * diagonal[u - 1] + (s - u) * diagonal[u]
+                    walks = (walks << 1) + (s - u) * diagonal[u]
+                    diagonal[u] = walks
                 diagonal.append(0)
-                values.append(diagonal[s - 1])
+                values.append(fact * walks)
             _walk_memo = (values, diagonal)
     return values
 
@@ -187,6 +194,24 @@ def connected_recurrence(m: int) -> int:
     return connected_sequence(m)[m]
 
 
+def _classificatory_sum(k: int) -> int:
+    """The part-multiset sum of `coefficient` at m - n = k, without m!/n!.
+
+    Over part multisets {a: mu_a} of k, the sum of
+    multiset_multiplicity * (-1)**(sum mu_a) * prod_a ((2a)!/a!)**mu_a.
+    """
+    if not k:
+        return 1
+    ratio = [_fact(2 * a) // _fact(a) for a in range(k + 1)]  # (2a)!/a!
+    total = 0
+    for parts in _part_multisets(k):
+        term = multiset_multiplicity(parts) * math.prod(
+            ratio[a] ** mult for a, mult in parts.items()
+        )
+        total += -term if sum(parts.values()) & 1 else term
+    return total
+
+
 def coefficient(n: int, m: int) -> int:
     """Signed weight of the (total - bubble) difference at order n <= m.
 
@@ -195,23 +220,15 @@ def coefficient(n: int, m: int) -> int:
     binomials collapsed into one multinomial.  Equals 1 when n == m.
     The multinomial splits as m!/n! * prod_j (2 a_j)!/a_j!, so the one big
     division is m!/n!, taken once per call.  A term depends only on the
-    parts a composition uses, so the sum runs over part multisets
-    {a: mu_a} of m - n, the paper's classificatory sum: each gives
-    multiset_multiplicity * (-1)**(sum mu_a) * prod_a ((2a)!/a!)**mu_a.
+    parts a composition uses, so the sum runs over the part multisets of
+    m - n, the paper's classificatory sum (`_classificatory_sum`).
     """
     _check_order(m)
     if not 1 <= n <= m:
         raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
     if n == m:
         return 1
-    ratio = [_fact(2 * a) // _fact(a) for a in range(m - n + 1)]  # (2a)!/a!
-    total = 0
-    for parts in _part_multisets(m - n):
-        term = multiset_multiplicity(parts) * math.prod(
-            ratio[a] ** mult for a, mult in parts.items()
-        )
-        total += -term if sum(parts.values()) & 1 else term
-    return _fact(m) // _fact(n) * total
+    return _fact(m) // _fact(n) * _classificatory_sum(m - n)
 
 
 def _closed_form_sequence(m_max: int) -> list[int]:
@@ -406,9 +423,11 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     Failing pairs are reported, not raised.
     """
     _check_suite_order(m_max)
-    # each weight either side reads is evaluated directly, once
+    # each weight either side reads is evaluated directly, as `coefficient`
+    # does, with each classificatory sum taken once per n - s
+    sums = [_classificatory_sum(k) for k in range(m_max + 1)]
     weight = {
-        (s, n): coefficient(s, n)
+        (s, n): _fact(n) // _fact(s) * sums[n - s]
         for s in range(1, m_max + 1)
         for n in range(s, m_max + 2)
     }

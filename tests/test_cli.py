@@ -153,6 +153,21 @@ def test_default_counts_csv_at_order_600_keeps_its_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == COUNTS_600_CSV_SHA256
 
 
+def test_count_cells_are_the_str_of_every_field_past_the_digit_limit():
+    # order 1000's total has 5739 digits, past CPython's 4300-digit default
+    rows = counting.count_table(1000)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        cells = list(cli._count_cells(rows))
+        assert len(cells) == len(rows)
+        for r, row in zip(rows, cells):
+            fields = (r.m, r.total, r.bubble, r.connected, r.distinct)
+            assert row == [str(value) for value in fields]
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_counts_output_is_byte_identical(capsys):
     _, first, _ = run(capsys, "counts", "--max-order", "6", "--format", "csv")
     _, second, _ = run(capsys, "counts", "--max-order", "6", "--format", "csv")

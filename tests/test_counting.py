@@ -313,11 +313,13 @@ def test_walk_matches_the_other_routes_at_random_orders(m):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=200))
 def test_walk_is_orbit_stabiliser_on_every_state(m):
-    # W(r, u) = 2**u u! D(r, u) on the last diagonal r + u = m + 1, (1, m) included
-    _, diagonal = _fresh_walk(m)
+    # V(r, u) = W(r, u)/u! = 2**u D(r, u) on the last diagonal r + u = m + 1,
+    # (1, m) included, and the published count is W(1, m) = m! V(1, m)
+    values, diagonal = _fresh_walk(m)
     assert len(diagonal) == m + 2
     for u, walks in enumerate(diagonal):
-        assert walks == (1 << u) * math.factorial(u) * _distinct_by_state(m + 1 - u, u)
+        assert walks == _distinct_by_state(m + 1 - u, u) << u
+    assert values[m] == math.factorial(m) * diagonal[m]
 
 
 @settings(max_examples=50, deadline=None)
@@ -538,6 +540,30 @@ def test_walk_growth_leaves_the_published_memo_unchanged(monkeypatch):
     counting._walk_counts(20)
     assert counting._walk_memo is not published
     assert published == snapshot
+
+
+def test_first_call_in_a_fresh_process_does_not_deadlock(monkeypatch):
+    # the sweep holds `_grow_lock`, which is not reentrant, so it must not grow
+    # the factorial table inside it; a private lock keeps a hang in this test
+    import threading
+
+    monkeypatch.setattr(counting, "_grow_lock", threading.Lock())
+    monkeypatch.setattr(counting, "_fact_table", [1, 1])
+    monkeypatch.setattr(counting, "_walk_memo", ([1], [1, 0]))
+    results = {}
+
+    def first_calls():
+        results["distinct"] = distinct_connected(30)
+        results["convolution"] = verify_convolution(10).overall
+
+    worker = threading.Thread(target=first_calls, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "the first walk growth hung on its own lock"
+    assert results == {
+        "distinct": connected_sequence(30)[30] // double_factorial(60),
+        "convolution": True,
+    }
 
 
 def test_factorial_cache_grows_safely_under_threads(monkeypatch):
