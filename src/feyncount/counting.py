@@ -30,11 +30,11 @@ size.  The walk likewise runs on V(r, u) = W(r, u)/u!, where its 2u
 multiplier becomes a doubling.  All three multiply back by m!, the walk as
 c(m) = m! V(1, m), so callers only see the counts.
 
-The factorials and the walk's counts are memoised once per process in
-write-once memos, so a per-order query after the first is a lookup.  The
-recurrence, closed-form and Arques-Walsh builders keep no memo, and the
-routes share only the factorials, so agreement between them still
-compares separate computations.
+The walk's counts are memoised once per process in a write-once memo, so
+a per-order query after the first is a lookup.  The other builders keep no
+memo and share no table: each steps its own factorial products, and single
+factorials come from `math.factorial`, so agreement between the routes
+still compares separate computations.
 
 All arithmetic is exact; counts are plain Python integers and must never
 pass through floating point.
@@ -56,29 +56,13 @@ class MethodDisagreementError(Exception):
     """Two counting methods produced different values for the same order."""
 
 
-# The factorials and the walk's counts are kept in process-global memos.
+# The walk's counts are kept in a process-global memo, the lock's only charge.
 # Readers take the current memo without locking; growth builds an extended
-# copy under the lock and swaps the reference, so a memo, once published,
+# copy under the lock and swaps the reference, so the memo, once published,
 # is never written again and a growth cut short leaves the old one intact.
 _grow_lock = threading.Lock()
-_fact_table = [1, 1]
 # c(0..M) and the walk's last diagonal s = M + 1, of V = W/u!; see `_walk_counts`.
 _walk_memo = ([1], [1, 0])
-
-
-def _fact(n: int) -> int:
-    global _fact_table
-    table = _fact_table
-    if n < len(table):
-        return table[n]
-    with _grow_lock:
-        table = _fact_table
-        if n >= len(table):
-            table = list(table)
-            for k in range(len(table), n + 1):
-                table.append(table[-1] * k)
-            _fact_table = table
-    return table[n]
 
 
 def _check_order(m: int) -> None:
@@ -98,13 +82,13 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
 def total_diagrams(m: int) -> int:
     """Total number of order-m diagrams, connected or not: (2m+1)!."""
     _check_order(m)
-    return _fact(2 * m + 1)
+    return math.factorial(2 * m + 1)
 
 
 def bubble_diagrams(m: int) -> int:
     """Number of order-m vacuum (bubble) diagrams: (2m)!."""
     _check_order(m)
-    return _fact(2 * m)
+    return math.factorial(2 * m)
 
 
 def double_factorial(k: int) -> int:
@@ -112,7 +96,7 @@ def double_factorial(k: int) -> int:
     if k < 0 or k % 2:
         raise _Refusal(f"only even non-negative arguments arise here, got {k}")
     half = k // 2
-    return (1 << half) * _fact(half)
+    return (1 << half) * math.factorial(half)
 
 
 def _walk_counts(m: int) -> list[int]:
@@ -142,8 +126,8 @@ def _walk_counts(m: int) -> list[int]:
         if m >= len(values):
             values, diagonal = list(values), list(diagonal)
             for s in range(len(values) + 1, m + 2):
-                # in place: diagonal[u] turns from V(s-1-u, u) into V(s-u, u).
-                # diagonal[0] is (s-1)!; `_fact` would take the lock again and hang
+                # in place: diagonal[u] turns from V(s-1-u, u) into V(s-u, u);
+                # diagonal[0] is (s-1)!, so m! comes from the sweep itself
                 fact = diagonal[0]
                 walks = diagonal[0] = fact * s
                 for u in range(1, s):
@@ -165,13 +149,13 @@ def _detach_bubbles(scaled: list[int], m: int) -> int:
     # (2n-1)!! times the distinct count at m-n, which is the paper's identity:
     # this loop would then be `_arques_walsh_sequence` term for term, and the
     # two routes one computation.  Over m! the operands stay 2**m times those,
-    # built from the factorial table and the 4n-2 kernel instead.
+    # built from the 4n-2 kernel instead.
     detachable = 0
     kernel = 1  # (2n)!/n!
     for n in range(1, m + 1):
         kernel *= 4 * n - 2
         detachable += kernel * scaled[m - n]
-    return _fact(2 * m + 1) // _fact(m) - detachable
+    return kernel * (2 * m + 1) - detachable  # (2m+1)!/m! - detachable
 
 
 def connected_sequence(m_max: int) -> list[int]:
@@ -183,10 +167,12 @@ def connected_sequence(m_max: int) -> list[int]:
     call builds the sequence afresh and returns a new list.
     """
     _check_order(m_max)
-    scaled = [1]
+    scaled, connected, fact = [1], [1], 1
     for m in range(1, m_max + 1):
         scaled.append(_detach_bubbles(scaled, m))
-    return [_fact(m) * d for m, d in enumerate(scaled)]
+        fact *= m
+        connected.append(fact * scaled[m])
+    return connected
 
 
 def connected_recurrence(m: int) -> int:
@@ -202,7 +188,9 @@ def _classificatory_sum(k: int) -> int:
     """
     if not k:
         return 1
-    ratio = [_fact(2 * a) // _fact(a) for a in range(k + 1)]  # (2a)!/a!
+    ratio = [1]  # (2a)!/a!
+    for a in range(1, k + 1):
+        ratio.append(ratio[-1] * (4 * a - 2))
     total = 0
     for parts in _part_multisets(k):
         term = multiset_multiplicity(parts) * math.prod(
@@ -228,7 +216,7 @@ def coefficient(n: int, m: int) -> int:
         raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
     if n == m:
         return 1
-    return _fact(m) // _fact(n) * _classificatory_sum(m - n)
+    return math.perm(m, m - n) * _classificatory_sum(m - n)
 
 
 def _closed_form_sequence(m_max: int) -> list[int]:
@@ -242,15 +230,18 @@ def _closed_form_sequence(m_max: int) -> list[int]:
     c(m)/m! = sum_{n=1..m} g(m-n) * 2n (2n)!/n!.
     """
     _check_order(m_max)
-    ratio = [_fact(2 * a) // _fact(a) for a in range(m_max + 1)]
+    ratio = [1]  # (2a)!/a!
+    for a in range(1, m_max + 1):
+        ratio.append(ratio[-1] * (4 * a - 2))
     g = [1]
     for k in range(1, m_max):
         g.append(-sum(ratio[a] * g[k - a] for a in range(1, k + 1)))
     excess = [2 * n * ratio[n] for n in range(m_max + 1)]  # ((2n+1)! - (2n)!)/n!
-    connected = [1]
+    connected, fact = [1], 1
     for m in range(1, m_max + 1):
         scaled = sum(g[m - n] * excess[n] for n in range(1, m + 1))
-        connected.append(_fact(m) * scaled)
+        fact *= m
+        connected.append(fact * scaled)
     return connected
 
 
@@ -320,7 +311,9 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
     _check_order(max_order)
     if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method: {method!r}")
-    dfacts = [double_factorial(2 * m) for m in range(max_order + 1)]
+    dfacts = [1]  # (2m)!!
+    for m in range(1, max_order + 1):
+        dfacts.append(dfacts[-1] * 2 * m)
     if method == "recurrence":
         connected = connected_sequence(max_order)
     elif method == "closed-form":
@@ -341,9 +334,12 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
                     f"arques-walsh*(2m)!!={_render(walsh[m] * dfacts[m])}"
                 )
     rows = []
+    bubble = 1  # (2m)!
     for m, value in enumerate(connected):
         distinct = _exact_div(value, dfacts[m], f"connected count at order {m}")
-        rows.append(CountRow(m, _fact(2 * m + 1), _fact(2 * m), value, distinct))
+        total = bubble * (2 * m + 1)
+        rows.append(CountRow(m, total, bubble, value, distinct))
+        bubble = total * (2 * m + 2)
     return rows
 
 
@@ -406,12 +402,13 @@ def verify_convolution(m_max: int) -> VerificationReport:
     """
     _check_suite_order(m_max)
     connected = _walk_counts(m_max)
+    bubbles = [math.factorial(2 * n) for n in range(m_max + 1)]
     report = VerificationReport()
     for m in range(1, m_max + 1):
         rebuilt = sum(
-            math.comb(m, n) * _fact(2 * n) * connected[m - n] for n in range(m + 1)
+            math.comb(m, n) * bubbles[n] * connected[m - n] for n in range(m + 1)
         )
-        report.add("convolution", f"m={m}", _fact(2 * m + 1), rebuilt)
+        report.add("convolution", f"m={m}", math.factorial(2 * m + 1), rebuilt)
     return report
 
 
@@ -427,7 +424,7 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     # does, with each classificatory sum taken once per n - s
     sums = [_classificatory_sum(k) for k in range(m_max + 1)]
     weight = {
-        (s, n): _fact(n) // _fact(s) * sums[n - s]
+        (s, n): math.perm(n, n - s) * sums[n - s]
         for s in range(1, m_max + 1)
         for n in range(s, m_max + 2)
     }
@@ -435,7 +432,7 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     for m in range(1, m_max + 1):
         for s in range(1, m + 1):
             recursed = -sum(
-                math.comb(m + 1, m - n + 1) * _fact(2 * (m - n + 1)) * weight[s, n]
+                math.comb(m + 1, m - n + 1) * math.factorial(2 * (m - n + 1)) * weight[s, n]
                 for n in range(s, m + 1)
             )
             report.add("coefficient-recursion", f"s={s} m={m}", weight[s, m + 1], recursed)
@@ -451,8 +448,8 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
     _check_suite_order(m_max)
     report = VerificationReport()
     for n in range(1, m_max + 1):
-        numerator = _fact(n) * bubble_diagrams(n + 1)
-        denominator = 2 * _fact(n + 1)
+        numerator = math.factorial(n) * bubble_diagrams(n + 1)
+        denominator = 2 * math.factorial(n + 1)
         quotient, remainder = divmod(numerator, denominator)
         report.add(
             "total-rewrite",

@@ -28,6 +28,9 @@ COUNTS_600_CSV_SHA256 = "039b4e1c7fed7d89b3200eed60c335c81def0afbd5f95ab8d6b5c65
 # sha256 of `verify --max-order 20 --format json` stdout as the composition-sum
 # coefficient printed it
 VERIFY_20_SHA256 = "1c6d80864b452af7660fb64f6bf1bddff4daf350b8a1c3a2982f6f56ba83bffb"
+# sha256 of `verify --max-order 100 --format json` stdout (862 checks) as the
+# shared factorial table fed the convolution, rewrite and three-path rows
+VERIFY_100_SHA256 = "43b1e1df9e99bdd7a9a25e44bc08be2b0dfa1a50e2b7d4dd6f37341f1a89d378"
 # sha256 of `oracle --order 4` stdout by format, as csv.writer wrote the csv
 ORACLE_4_SHA256 = {
     "table": "2f54bff3bca19273229dcef09e66267bc22d2ccbee9f48b54456648ad168a4ce",
@@ -200,6 +203,13 @@ def test_verify_stdout_is_pinned_at_the_coefficient_suite_cap(capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_20_SHA256
+
+
+def test_verify_stdout_is_pinned_above_the_coefficient_suite_cap(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "100", "--format", "json")
+    assert code == 0
+    assert err == "note: coefficient-recursion suite capped at order 20\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_100_SHA256
 
 
 def test_verify_caps_only_the_coefficient_suite(capsys, monkeypatch):

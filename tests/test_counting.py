@@ -447,14 +447,16 @@ def test_negative_order_rejected():
             fn(-1)
 
 
-def test_count_table_rows():
-    rows = count_table(4)
-    assert [r.m for r in rows] == [0, 1, 2, 3, 4]
+@pytest.mark.parametrize("max_order", [4, 1000])
+def test_count_table_rows(max_order):
+    # the factorial columns are running products, so check every row
+    rows = count_table(max_order)
+    assert [r.m for r in rows] == list(range(max_order + 1))
     for r in rows:
         assert r.total == math.factorial(2 * r.m + 1)
         assert r.bubble == math.factorial(2 * r.m)
-        assert r.distinct * double_factorial(2 * r.m) == r.connected
-    assert [r.distinct for r in rows] == [1, 2, 10, 74, 706]
+        assert r.distinct * _even_product(2 * r.m) == r.connected
+    assert [r.distinct for r in rows[:5]] == [1, 2, 10, 74, 706]
 
 
 def test_count_table_methods_agree():
@@ -500,13 +502,14 @@ def test_count_table_rejects_unknown_method(monkeypatch):
     with pytest.raises(ValueError):
         count_table(3, method="guesswork")
 
-    def refuse(n):
-        raise AssertionError("built factorials before checking the method")
+    def refuse(m):
+        raise AssertionError("ran the walk before checking the method")
 
-    # refused before any work, however large the order
-    monkeypatch.setattr(counting, "_fact", refuse)
+    # refused before any work: a check placed after the routes would run the
+    # walk first, and at this order the work before it takes well under a second
+    monkeypatch.setattr(counting, "_walk_counts", refuse)
     with pytest.raises(_Refusal, match="unknown method"):
-        count_table(10**9, method="guesswork")
+        count_table(1000, method="guesswork")
 
 
 def test_results_are_reproducible():
@@ -543,12 +546,11 @@ def test_walk_growth_leaves_the_published_memo_unchanged(monkeypatch):
 
 
 def test_first_call_in_a_fresh_process_does_not_deadlock(monkeypatch):
-    # the sweep holds `_grow_lock`, which is not reentrant, so it must not grow
-    # the factorial table inside it; a private lock keeps a hang in this test
+    # the sweep holds `_grow_lock`, which is not reentrant, so it must call
+    # nothing that takes it again; a private lock keeps a hang in this test
     import threading
 
     monkeypatch.setattr(counting, "_grow_lock", threading.Lock())
-    monkeypatch.setattr(counting, "_fact_table", [1, 1])
     monkeypatch.setattr(counting, "_walk_memo", ([1], [1, 0]))
     results = {}
 
@@ -566,18 +568,14 @@ def test_first_call_in_a_fresh_process_does_not_deadlock(monkeypatch):
     }
 
 
-def test_factorial_cache_grows_safely_under_threads(monkeypatch):
+def test_walk_memo_grows_safely_under_threads(monkeypatch):
     import threading
 
-    monkeypatch.setattr(counting, "_fact_table", [1, 1])
     monkeypatch.setattr(counting, "_walk_memo", ([1], [1, 0]))
-    factorials = {}
     distinct = {}
 
     def worker(k):
-        # the walk's memo grows under the same lock, racing the direct calls
         distinct[k] = distinct_connected(40 + 3 * k)
-        factorials[k] = counting._fact(300 + k)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(32)]
     previous = sys.getswitchinterval()
@@ -597,5 +595,4 @@ def test_factorial_cache_grows_safely_under_threads(monkeypatch):
     fresh = connected_sequence(40 + 3 * 31)
     assert grown[0] == fresh
     for k in range(32):
-        assert factorials[k] == math.factorial(300 + k)
         assert distinct[k] * double_factorial(2 * (40 + 3 * k)) == fresh[40 + 3 * k]
