@@ -7,7 +7,7 @@ vacuum part (the vertices cut off from the external points), and the
 connected ones (n = 0) are grouped into orbits of the (2m)!! symmetry
 (vertex relabelings times primed/unprimed point swaps).  The counts land
 exactly on what the formulas predict, with no formula consulted by the
-enumeration.
+enumeration; the demo asserts each one.
 
 Run: python3 demos/wick_enumeration.py
 """
@@ -32,10 +32,13 @@ def main():
         connected = connected_sequence(m)
         print(f"order {m}:")
         print(f"  pairings visited   {census.total:>6}   formula (2m+1)!   = {total_diagrams(m)}")
+        assert census.total == total_diagrams(m)
         for n, count in enumerate(census.vacuum_parts):
             predicted = comb(m, n) * bubble_diagrams(n) * connected[m - n]
             print(f"  vacuum part n={n}    {count:>6}   C(m,n)(2n)!c(m-n) = {predicted}")
+            assert count == predicted
         print(f"  symmetry orbits    {orbits.orbit_count:>6}   arques-walsh      = {arques_walsh(m)}")
+        assert orbits.orbit_count == arques_walsh(m)
         print(f"  orbit size histogram: {orbits.orbit_sizes}")
         print()
 

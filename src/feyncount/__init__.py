@@ -2,9 +2,9 @@
 
 Four exact-arithmetic routes to the connected-diagram count (the Wick
 walk counted by state, the default; a bubble-subtraction recurrence; a
-signed closed form; and the Arques-Walsh rooted-map sum) plus a
-brute-force Wick-contraction enumerator that serves as ground truth at
-small order.
+signed closed form; and the Arques-Walsh rooted-map sequence, by its
+Riccati recurrence) plus a brute-force Wick-contraction enumerator that
+serves as ground truth at small order.
 """
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -132,16 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "overall": report.overall,
             "passed": passed,
             "total": len(report.checks),
-            "checks": [
-                {
-                    "name": c.name,
-                    "params": c.params,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
+            "checks": [asdict(c) for c in report.checks],
         }
         print(json.dumps(payload, indent=2))
     else:

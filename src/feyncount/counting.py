@@ -8,20 +8,22 @@ Four routes to the connected count are implemented:
   total (O(m^2) big-integer products),
 * a closed form summing signed composition-indexed coefficients against
   (total - bubble) differences,
-* the Arques-Walsh rooted-map sum, which yields the count of *distinct*
-  connected diagrams directly.
+* the Arques-Walsh rooted-map sequence, which yields the count of
+  *distinct* connected diagrams directly.
 
 The walk is the oracle's contraction order folded into states (r, u):
 r queued slots still to contract and u vertices not yet reached.  Its
 recurrence comes from the pairing model, not from the bubble series the
 other three routes share, so agreement with it is an independent check.
 
-Both composition sums are coefficients of a reciprocal power series, so
-each is evaluated by its own O(m^2) convolution recurrence instead of
-expanding 2**m compositions.  `coefficient` keeps an explicit sum, the
-paper's classificatory one: it groups the compositions by the parts
-they use and sums over those p(m - n) part multisets, never reading the
-closed form's series.
+Neither composition sum is expanded over its 2**m compositions.  The
+closed form's is a coefficient of a reciprocal power series, evaluated by
+an O(m^2) convolution recurrence.  The Arques-Walsh sum is a coefficient
+of the solution of a Riccati equation, evaluated by its O(m^2) quadratic
+recurrence, which reads no (2k-1)!! series.  `coefficient` keeps an
+explicit sum, the paper's classificatory one: it groups the compositions
+by the parts they use and sums over those p(m - n) part multisets, never
+reading the closed form's series.
 
 The recurrence and the closed form both run on c(m)/m!, the connected
 count divided by m!: the binomials of the recurrence and the falling
@@ -147,9 +149,9 @@ def _detach_bubbles(scaled: list[int], m: int) -> int:
     """
     # The scale is m! and not (2m)!!.  Over (2m)!! each term would become
     # (2n-1)!! times the distinct count at m-n, which is the paper's identity:
-    # this loop would then be `_arques_walsh_sequence` term for term, and the
-    # two routes one computation.  Over m! the operands stay 2**m times those,
-    # built from the 4n-2 kernel instead.
+    # this loop would then be, term for term, the reciprocal long division that
+    # the tests keep as the Arques-Walsh reference.  Over m! the operands stay
+    # 2**m times those, built from the 4n-2 kernel instead.
     detachable = 0
     kernel = 1  # (2n)!/n!
     for n in range(1, m + 1):
@@ -251,21 +253,23 @@ def connected_closed_form(m: int) -> int:
 
 
 def _arques_walsh_sequence(m_max: int) -> list[int]:
-    """Distinct connected counts [order 0 .. m_max] by the Arques-Walsh sum.
+    """Distinct connected counts [order 0 .. m_max] by the Arques-Walsh sequence.
 
-    The sum runs over compositions of m+1 of (-1)**(parts-1) times
+    The paper's sum runs over compositions of m+1 of (-1)**(parts-1) times
     prod_j (2 a_j)!/a_j!, divided by 2**(m+1).  As (2a)!/a! = 2**a (2a-1)!!,
     the division cancels termwise, and the signed sum is the coefficient
-    a(m+1) of 1 - 1/(1 + sum_k (2k-1)!! x**k):
-    a(n) = (2n-1)!! - sum_{k<n} (2k-1)!! a(n-k).
+    a(m+1) of A = 1 - 1/F, with F = sum_{k>=0} (2k-1)!! x**k.  Since
+    (2k-1)!! = (2k-1) (2k-3)!!, F = 1 + xF + 2x**2 F', and putting
+    F = 1/(1 - A) turns that into Riccati's equation
+    2x**2 A' = A - A**2 - x + xA (Arques and Beraud, Discrete Math. 215,
+    2000).  Its coefficients give a(1) = 1 and, for n >= 2,
+    a(n) = (2n-3) a(n-1) + sum_{k=1..n-1} a(k) a(n-k),
+    so the sequence is built from itself alone.
     """
     _check_order(m_max)
-    odd = [1]  # odd[k] = (2k-1)!!
-    for k in range(1, m_max + 2):
-        odd.append(odd[-1] * (2 * k - 1))
-    a = [0]
-    for n in range(1, m_max + 2):
-        a.append(odd[n] - sum(odd[k] * a[n - k] for k in range(1, n)))
+    a = [0, 1]
+    for n in range(2, m_max + 2):
+        a.append((2 * n - 3) * a[n - 1] + sum(a[k] * a[n - k] for k in range(1, n)))
     return a[1:]
 
 
@@ -286,8 +290,18 @@ def distinct_connected(m: int) -> int:
     )
 
 
-# The routes `count_table` accepts, in the order the command line lists them.
-_COUNT_METHODS = ("walk", "recurrence", "closed-form", "arques-walsh", "all")
+# Each route's builder of the connected counts c(0..M), by its `--method`
+# name, in the order the command line lists them.  An entry looks its route up
+# when called, so a route patched on this module is the one the table runs.
+_ROUTES = {
+    "walk": lambda m_max: _walk_counts(m_max)[: m_max + 1],
+    "recurrence": lambda m_max: connected_sequence(m_max),
+    "closed-form": lambda m_max: _closed_form_sequence(m_max),
+    "arques-walsh": lambda m_max: [
+        a * double_factorial(2 * m) for m, a in enumerate(_arques_walsh_sequence(m_max))
+    ],
+}
+_COUNT_METHODS = (*_ROUTES, "all")
 
 
 @dataclass(frozen=True)
@@ -304,42 +318,30 @@ class CountRow:
 def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
     """Rows (m, total, bubble, connected, distinct) for 0 <= m <= max_order.
 
-    `method` picks the route to the connected column: "walk",
-    "recurrence", "closed-form", "arques-walsh", or "all", which computes
-    every route and raises MethodDisagreementError on any mismatch.
+    `method` is the `--method` name of the route to the connected column,
+    or "all", which computes every route, keeps the first one's column,
+    and raises MethodDisagreementError on any mismatch.
     """
     _check_order(max_order)
     if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method: {method!r}")
-    dfacts = [1]  # (2m)!!
-    for m in range(1, max_order + 1):
-        dfacts.append(dfacts[-1] * 2 * m)
-    if method == "recurrence":
-        connected = connected_sequence(max_order)
-    elif method == "closed-form":
-        connected = _closed_form_sequence(max_order)
-    elif method == "arques-walsh":
-        connected = [d * f for d, f in zip(_arques_walsh_sequence(max_order), dfacts)]
-    else:
-        connected = _walk_counts(max_order)[: max_order + 1]
-    if method == "all":
-        recurrence = connected_sequence(max_order)
-        closed = _closed_form_sequence(max_order)
-        walsh = _arques_walsh_sequence(max_order)
-        for m in range(max_order + 1):
-            if not connected[m] == recurrence[m] == closed[m] == walsh[m] * dfacts[m]:
-                raise MethodDisagreementError(
-                    f"order {m}: walk={_render(connected[m])}, "
-                    f"recurrence={_render(recurrence[m])}, closed-form={_render(closed[m])}, "
-                    f"arques-walsh*(2m)!!={_render(walsh[m] * dfacts[m])}"
-                )
-    rows = []
-    bubble = 1  # (2m)!
+    names = list(_ROUTES) if method == "all" else [method]
+    columns = {name: _ROUTES[name](max_order) for name in names}
+    connected = columns[names[0]]
     for m, value in enumerate(connected):
-        distinct = _exact_div(value, dfacts[m], f"connected count at order {m}")
+        if any(column[m] != value for column in columns.values()):
+            raise MethodDisagreementError(
+                f"order {m}: "
+                + ", ".join(f"{name}={_render(column[m])}" for name, column in columns.items())
+            )
+    rows = []
+    bubble, group = 1, 1  # (2m)!, and (2m)!! the relabelling group's order
+    for m, value in enumerate(connected):
+        distinct = _exact_div(value, group, f"connected count at order {m}")
         total = bubble * (2 * m + 1)
         rows.append(CountRow(m, total, bubble, value, distinct))
         bubble = total * (2 * m + 2)
+        group *= 2 * m + 2
     return rows
 
 
@@ -472,16 +474,11 @@ def verify_three_path(m_max: int) -> VerificationReport:
     _check_suite_order(m_max)
     connected = connected_sequence(m_max)
     closed = _closed_form_sequence(m_max)
-    walsh = _arques_walsh_sequence(m_max)
+    walsh = _ROUTES["arques-walsh"](m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
         report.add("closed-form-agreement", f"m={m}", connected[m], closed[m])
-        report.add(
-            "arques-walsh-agreement",
-            f"m={m}",
-            connected[m],
-            walsh[m] * double_factorial(2 * m),
-        )
+        report.add("arques-walsh-agreement", f"m={m}", connected[m], walsh[m])
     return report
 
 

@@ -56,6 +56,22 @@ def _arques_walsh_by_compositions(m):
     return quotient
 
 
+def _arques_walsh_by_reciprocal(m_max):
+    """The paper's sum as a long division by the (2k-1)!! series, a reference
+    used only by these tests.
+
+    The signed composition sum at m+1 is the coefficient a(m+1) of
+    1 - 1/(1 + sum_k (2k-1)!! x**k), so a(n) = (2n-1)!! - sum_{k<n} (2k-1)!! a(n-k).
+    """
+    odd = [1]  # odd[k] = (2k-1)!!
+    for k in range(1, m_max + 2):
+        odd.append(odd[-1] * (2 * k - 1))
+    a = [0]
+    for n in range(1, m_max + 2):
+        a.append(odd[n] - sum(odd[k] * a[n - k] for k in range(1, n)))
+    return a[1:]
+
+
 def _even_product(k):
     """k!! = 2*4*...*k for even k, by direct product."""
     return math.prod(range(2, k + 1, 2))
@@ -266,6 +282,12 @@ def test_routes_match_composition_sums_to_fourteen():
         assert connected_closed_form(m) == _closed_form_by_coefficients(m)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=400))
+def test_riccati_recurrence_matches_the_reciprocal_at_random_orders(m):
+    assert counting._arques_walsh_sequence(m) == _arques_walsh_by_reciprocal(m)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=150))
 def test_three_routes_agree_at_random_orders(m):
@@ -470,6 +492,28 @@ def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
     monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 3840], diagonal))
     with pytest.raises(MethodDisagreementError, match=r"order 5: walk=31345920, recurrence="):
         count_table(5, method="all")
+
+
+def test_a_fault_in_the_arques_walsh_route_alone_is_caught(monkeypatch):
+    route = counting._arques_walsh_sequence
+
+    def planted(m_max):
+        # one distinct diagram too many at order 5, so (2m)!! = 3840 too many pairings
+        values = route(m_max)
+        if m_max >= 5:
+            values[5] += 1
+        return values
+
+    monkeypatch.setattr(counting, "_arques_walsh_sequence", planted)
+    with pytest.raises(
+        MethodDisagreementError,
+        match=r"^order 5: walk=31342080, recurrence=31342080, "
+        r"closed-form=31342080, arques-walsh=31345920$",
+    ):
+        count_table(5, method="all")
+    report = verify_three_path(5)
+    assert [c.params for c in report.checks if not c.passed] == ["m=5"]
+    assert [c.name for c in report.checks if not c.passed] == ["arques-walsh-agreement"]
 
 
 def test_distinct_count_is_an_exact_division_of_the_walk(monkeypatch):
