@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
@@ -27,7 +27,7 @@ from .counting import ExactnessError, MethodDisagreementError, VerificationRepor
 _COEFFICIENT_SUITE_CAP = 20
 
 
-def _print_aligned(rows: list[list[str]]) -> None:
+def _print_aligned(rows: list[Sequence[str]]) -> None:
     widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.rjust(width) for width, cell in zip(widths, row)))
@@ -147,14 +147,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall else 1
 
 
-def _write_dot_files(census: oracle.OrbitCensus, out_dir: Path) -> list[Path]:
+def _write_dot_files(census: oracle.OrbitCensus, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for index, diagram in enumerate(census.representatives, start=1):
         path = out_dir / f"diagram_m{census.order}_{index}.dot"
         path.write_text(oracle.export_diagram(diagram))
-        paths.append(path)
-    return paths
+    return len(census.representatives)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -173,40 +171,28 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    pairs: list[tuple[str, str]] = [
-        ("order", str(m)),
-        ("total", str(census.total)),
-        ("connected", str(census.connected)),
-        ("vacuum", str(census.vacuum)),
-    ]
+    record = {name: str(getattr(census, name)) for name in ("total", "connected", "vacuum")}
+    sizes = {}
     if orbits is not None:
-        pairs.append(("orbits", str(orbits.orbit_count)))
-        pairs += [
-            (f"orbit_size_{size}", str(count))
-            for size, count in orbits.orbit_sizes.items()
-        ]
+        record["orbits"] = str(orbits.orbit_count)
+        sizes = {str(size): str(count) for size, count in orbits.orbit_sizes.items()}
 
-    if args.format == "table":
-        _print_aligned([[k, v] for k, v in pairs])
-    elif args.format == "csv":
-        _print_csv([("metric", "value")] + pairs)
-    elif args.format == "json":
-        payload: dict = {
-            "order": m,
-            "total": str(census.total),
-            "connected": str(census.connected),
-            "vacuum": str(census.vacuum),
-        }
+    if args.format == "json":
+        payload: dict = {"order": m, **record}
         if orbits is not None:
-            payload["orbits"] = str(orbits.orbit_count)
-            payload["orbit_sizes"] = {
-                str(size): str(count) for size, count in orbits.orbit_sizes.items()
-            }
+            payload["orbit_sizes"] = sizes
         print(json.dumps(payload, indent=2))
+    else:
+        pairs = [("order", str(m)), *record.items()]
+        pairs += [(f"orbit_size_{size}", count) for size, count in sizes.items()]
+        if args.format == "table":
+            _print_aligned(pairs)
+        else:
+            _print_csv([("metric", "value"), *pairs])
 
     if args.dot_dir is not None:
         written = _write_dot_files(orbits, Path(args.dot_dir))
-        print(f"note: wrote {len(written)} DOT files to {args.dot_dir}", file=sys.stderr)
+        print(f"note: wrote {written} DOT files to {args.dot_dir}", file=sys.stderr)
     return 0
 
 
@@ -224,7 +210,7 @@ def cmd_compositions(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     census = oracle.orbit_census(args.order)
     written = _write_dot_files(census, Path(args.out_dir))
-    print(f"wrote {len(written)} DOT files to {args.out_dir}")
+    print(f"wrote {written} DOT files to {args.out_dir}")
     return 0
 
 

@@ -327,16 +327,14 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
         raise _Refusal(f"unknown method: {method!r}")
     names = list(_ROUTES) if method == "all" else [method]
     columns = {name: _ROUTES[name](max_order) for name in names}
-    connected = columns[names[0]]
-    for m, value in enumerate(connected):
+    rows = []
+    bubble, group = 1, 1  # (2m)!, and (2m)!! the relabelling group's order
+    for m, value in enumerate(columns[names[0]]):
         if any(column[m] != value for column in columns.values()):
             raise MethodDisagreementError(
                 f"order {m}: "
                 + ", ".join(f"{name}={_render(column[m])}" for name, column in columns.items())
             )
-    rows = []
-    bubble, group = 1, 1  # (2m)!, and (2m)!! the relabelling group's order
-    for m, value in enumerate(connected):
         distinct = _exact_div(value, group, f"connected count at order {m}")
         total = bubble * (2 * m + 1)
         rows.append(CountRow(m, total, bubble, value, distinct))
@@ -472,13 +470,12 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
 def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
     _check_suite_order(m_max)
-    connected = connected_sequence(m_max)
-    closed = _closed_form_sequence(m_max)
-    walsh = _ROUTES["arques-walsh"](m_max)
+    connected = _ROUTES["recurrence"](m_max)
+    columns = {name: _ROUTES[name](m_max) for name in ("closed-form", "arques-walsh")}
     report = VerificationReport()
     for m in range(1, m_max + 1):
-        report.add("closed-form-agreement", f"m={m}", connected[m], closed[m])
-        report.add("arques-walsh-agreement", f"m={m}", connected[m], walsh[m])
+        for name, column in columns.items():
+            report.add(f"{name}-agreement", f"m={m}", connected[m], column[m])
     return report
 
 

@@ -494,26 +494,42 @@ def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
         count_table(5, method="all")
 
 
-def test_a_fault_in_the_arques_walsh_route_alone_is_caught(monkeypatch):
-    route = counting._arques_walsh_sequence
+@pytest.mark.parametrize(
+    ("builder", "columns", "check"),
+    [
+        # one pairing too many at order 5
+        (
+            "_closed_form_sequence",
+            "closed-form=31342081, arques-walsh=31342080",
+            "closed-form-agreement",
+        ),
+        # one distinct diagram too many at order 5, so (2m)!! = 3840 too many pairings
+        (
+            "_arques_walsh_sequence",
+            "closed-form=31342080, arques-walsh=31345920",
+            "arques-walsh-agreement",
+        ),
+    ],
+    ids=["closed-form", "arques-walsh"],
+)
+def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, check):
+    route = getattr(counting, builder)
 
     def planted(m_max):
-        # one distinct diagram too many at order 5, so (2m)!! = 3840 too many pairings
         values = route(m_max)
         if m_max >= 5:
             values[5] += 1
         return values
 
-    monkeypatch.setattr(counting, "_arques_walsh_sequence", planted)
+    monkeypatch.setattr(counting, builder, planted)
     with pytest.raises(
         MethodDisagreementError,
-        match=r"^order 5: walk=31342080, recurrence=31342080, "
-        r"closed-form=31342080, arques-walsh=31345920$",
+        match=rf"^order 5: walk=31342080, recurrence=31342080, {columns}$",
     ):
         count_table(5, method="all")
     report = verify_three_path(5)
     assert [c.params for c in report.checks if not c.passed] == ["m=5"]
-    assert [c.name for c in report.checks if not c.passed] == ["arques-walsh-agreement"]
+    assert [c.name for c in report.checks if not c.passed] == [check]
 
 
 def test_distinct_count_is_an_exact_division_of_the_walk(monkeypatch):
