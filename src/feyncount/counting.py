@@ -141,37 +141,29 @@ def _walk_counts(m: int) -> list[int]:
     return values
 
 
-def _detach_bubbles(scaled: list[int], m: int) -> int:
-    """Order m of the recurrence on d = c/m!, from d at the orders below m.
-
-    Dividing (2m+1)! = sum_n binom(m, n) (2n)! c(m-n) through by m! gives
-    d(m) = (2m+1)!/m! - sum_{n=1..m} (2n)!/n! * d(m-n), with no binomials.
-    """
-    # The scale is m! and not (2m)!!.  Over (2m)!! each term would become
-    # (2n-1)!! times the distinct count at m-n, which is the paper's identity:
-    # this loop would then be, term for term, the reciprocal long division that
-    # the tests keep as the Arques-Walsh reference.  Over m! the operands stay
-    # 2**m times those, built from the 4n-2 kernel instead.
-    detachable = 0
-    kernel = 1  # (2n)!/n!
-    for n in range(1, m + 1):
-        kernel *= 4 * n - 2
-        detachable += kernel * scaled[m - n]
-    return kernel * (2 * m + 1) - detachable  # (2m+1)!/m! - detachable
-
-
 def connected_sequence(m_max: int) -> list[int]:
     """Connected counts [order 0 .. m_max] by the bubble-subtraction recurrence.
 
     Order m starts from the factorial total and removes every way of
     detaching a non-empty vacuum part: binom(m, n) time-argument choices
-    times (2n)! bubbles times the connected count of what remains.  Each
-    call builds the sequence afresh and returns a new list.
+    times (2n)! bubbles times the connected count of what remains.
+    Dividing (2m+1)! = sum_n binom(m, n) (2n)! c(m-n) through by m! gives
+    d(m) = (2m+1)!/m! - sum_{n=1..m} (2n)!/n! * d(m-n) on d = c/m!, with no
+    binomials.  Each call builds the sequence afresh and returns a new list.
     """
     _check_order(m_max)
+    kernel = [1]  # (2n)!/n!
+    for n in range(1, m_max + 1):
+        kernel.append(kernel[-1] * (4 * n - 2))
     scaled, connected, fact = [1], [1], 1
     for m in range(1, m_max + 1):
-        scaled.append(_detach_bubbles(scaled, m))
+        # The scale is m! and not (2m)!!.  Over (2m)!! each term would become
+        # (2n-1)!! times the distinct count at m-n, which is the paper's identity:
+        # this loop would then be, term for term, the reciprocal long division that
+        # the tests keep as the Arques-Walsh reference.  Over m! the operands stay
+        # 2**m times those, built from the 4n-2 kernel instead.
+        detachable = sum(kernel[n] * scaled[m - n] for n in range(1, m + 1))
+        scaled.append(kernel[m] * (2 * m + 1) - detachable)  # (2m+1)!/m! - detachable
         fact *= m
         connected.append(fact * scaled[m])
     return connected
@@ -216,8 +208,6 @@ def coefficient(n: int, m: int) -> int:
     _check_order(m)
     if not 1 <= n <= m:
         raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
-    if n == m:
-        return 1
     return math.perm(m, m - n) * _classificatory_sum(m - n)
 
 

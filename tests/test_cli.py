@@ -28,6 +28,9 @@ COUNTS_600_CSV_SHA256 = "039b4e1c7fed7d89b3200eed60c335c81def0afbd5f95ab8d6b5c65
 # sha256 of `verify --max-order 20 --format json` stdout as the composition-sum
 # coefficient printed it
 VERIFY_20_SHA256 = "1c6d80864b452af7660fb64f6bf1bddff4daf350b8a1c3a2982f6f56ba83bffb"
+# sha256 of `verify --max-order 20` stdout as a table (384 lines, 382 checks),
+# whose three-path and wick-connected rows read the recurrence
+VERIFY_20_TABLE_SHA256 = "9860e8f7cf71b524fe9ad25344a5b0846b85df8ff2821ef25d5d20a2dbdfa6d4"
 # sha256 of `verify --max-order 100 --format json` stdout (862 checks) as the
 # shared factorial table fed the convolution, rewrite and three-path rows
 VERIFY_100_SHA256 = "43b1e1df9e99bdd7a9a25e44bc08be2b0dfa1a50e2b7d4dd6f37341f1a89d378"
@@ -205,6 +208,14 @@ def test_verify_stdout_is_pinned_at_the_coefficient_suite_cap(capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_20_SHA256
+
+
+def test_verify_table_stdout_is_pinned_at_the_coefficient_suite_cap(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "20")
+    assert code == 0
+    assert err == ""
+    assert out.endswith("overall: PASS (382/382 checks)\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_20_TABLE_SHA256
 
 
 def test_verify_stdout_is_pinned_above_the_coefficient_suite_cap(capsys):
@@ -428,10 +439,10 @@ def test_compositions_rejects_zero(capsys):
 
 
 def test_internal_value_error_is_not_reported_as_a_refusal(capsys, monkeypatch):
-    def broken(scaled, m):
+    def broken(m_max):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(counting, "_detach_bubbles", broken)
+    monkeypatch.setattr(counting, "connected_sequence", broken)
     code, out, err = run(capsys, "counts", "--max-order", "3", "--method", "recurrence")
     assert code == 1
     assert out == ""

@@ -495,24 +495,31 @@ def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("builder", "columns", "check"),
+    ("builder", "columns", "checks"),
     [
+        # one pairing too many at order 5; route 1 is the three-path reference,
+        # so both of its agreement rows fail
+        (
+            "connected_sequence",
+            "recurrence=31342081, closed-form=31342080, arques-walsh=31342080",
+            ["closed-form-agreement", "arques-walsh-agreement"],
+        ),
         # one pairing too many at order 5
         (
             "_closed_form_sequence",
-            "closed-form=31342081, arques-walsh=31342080",
-            "closed-form-agreement",
+            "recurrence=31342080, closed-form=31342081, arques-walsh=31342080",
+            ["closed-form-agreement"],
         ),
         # one distinct diagram too many at order 5, so (2m)!! = 3840 too many pairings
         (
             "_arques_walsh_sequence",
-            "closed-form=31342080, arques-walsh=31345920",
-            "arques-walsh-agreement",
+            "recurrence=31342080, closed-form=31342080, arques-walsh=31345920",
+            ["arques-walsh-agreement"],
         ),
     ],
-    ids=["closed-form", "arques-walsh"],
+    ids=["recurrence", "closed-form", "arques-walsh"],
 )
-def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, check):
+def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, checks):
     route = getattr(counting, builder)
 
     def planted(m_max):
@@ -524,12 +531,12 @@ def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, che
     monkeypatch.setattr(counting, builder, planted)
     with pytest.raises(
         MethodDisagreementError,
-        match=rf"^order 5: walk=31342080, recurrence=31342080, {columns}$",
+        match=rf"^order 5: walk=31342080, {columns}$",
     ):
         count_table(5, method="all")
-    report = verify_three_path(5)
-    assert [c.params for c in report.checks if not c.passed] == ["m=5"]
-    assert [c.name for c in report.checks if not c.passed] == [check]
+    failed = [c for c in verify_three_path(5).checks if not c.passed]
+    assert [c.params for c in failed] == ["m=5"] * len(checks)
+    assert [c.name for c in failed] == checks
 
 
 def test_distinct_count_is_an_exact_division_of_the_walk(monkeypatch):
