@@ -9,13 +9,10 @@ numbers.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict
 from itertools import chain
-from pathlib import Path
 
 from . import counting, oracle
 from .compositions import _Refusal, count_compositions, enumerate_compositions
@@ -73,6 +70,9 @@ def cmd_counts(args: argparse.Namespace) -> int:
         # each row is printed as it is made, so its text is never all alive
         _print_csv(chain([header], cells))
     elif args.format == "json":
+        # imported where used, so that processes printing no json never load it
+        import json
+
         payload = {
             "max_order": args.max_order,
             "method": args.method,
@@ -129,11 +129,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = _verify_report(args.max_order)
     passed = sum(1 for c in report.checks if c.passed)
     if args.format == "json":
+        import json
+
         payload = {
             "overall": report.overall,
             "passed": passed,
             "total": len(report.checks),
-            "checks": [asdict(c) for c in report.checks],
+            "checks": [c._asdict() for c in report.checks],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -147,11 +149,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall else 1
 
 
-def _write_dot_files(census: oracle.OrbitCensus, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_dot_files(census: oracle.OrbitCensus, out_dir: str) -> int:
+    os.makedirs(out_dir or os.curdir, exist_ok=True)  # "" names the working directory
     for index, diagram in enumerate(census.representatives, start=1):
-        path = out_dir / f"diagram_m{census.order}_{index}.dot"
-        path.write_text(oracle.export_diagram(diagram))
+        name = f"diagram_m{census.order}_{index}.dot"
+        with open(os.path.join(out_dir, name), "w") as out:
+            out.write(oracle.export_diagram(diagram))
     return len(census.representatives)
 
 
@@ -178,6 +181,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         sizes = {str(size): str(count) for size, count in orbits.orbit_sizes.items()}
 
     if args.format == "json":
+        import json
+
         payload: dict = {"order": m, **record}
         if orbits is not None:
             payload["orbit_sizes"] = sizes
@@ -191,7 +196,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             _print_csv([("metric", "value"), *pairs])
 
     if args.dot_dir is not None:
-        written = _write_dot_files(orbits, Path(args.dot_dir))
+        written = _write_dot_files(orbits, args.dot_dir)
         print(f"note: wrote {written} DOT files to {args.dot_dir}", file=sys.stderr)
     return 0
 
@@ -209,7 +214,7 @@ def cmd_compositions(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     census = oracle.orbit_census(args.order)
-    written = _write_dot_files(census, Path(args.out_dir))
+    written = _write_dot_files(census, args.out_dir)
     print(f"wrote {written} DOT files to {args.out_dir}")
     return 0
 

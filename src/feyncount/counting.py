@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .compositions import _Refusal, _part_multisets, multiset_multiplicity
 
@@ -294,15 +294,10 @@ _ROUTES = {
 _COUNT_METHODS = (*_ROUTES, "all")
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(namedtuple("CountRow", "m total bubble connected distinct")):
     """One order's worth of counts for tabular output."""
 
-    m: int
-    total: int
-    bubble: int
-    connected: int
-    distinct: int
+    __slots__ = ()
 
 
 def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
@@ -347,22 +342,17 @@ def _render(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name params expected actual passed")):
     """A single named comparison with exact decimal rendering."""
 
-    name: str
-    params: str
-    expected: str
-    actual: str
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass
 class VerificationReport:
     """Accumulates named exact-equality checks; overall passes iff all do."""
 
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[Check] = []
 
     def add(self, name: str, params: str, expected, actual) -> None:
         self.checks.append(

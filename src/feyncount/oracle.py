@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .compositions import _Refusal
 
@@ -56,15 +55,14 @@ class OrderCapError(_Refusal):
     """Requested order exceeds the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class MatchCensus:
+class MatchCensus(namedtuple("MatchCensus", "vacuum_parts")):
     """Exhaustive tally of full contractions at one order.
 
     `vacuum_parts[n]` counts the pairings that cut exactly n of the m
     vertices off from the external points, for n = 0..m.
     """
 
-    vacuum_parts: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -80,27 +78,25 @@ class MatchCensus:
         return self.vacuum_parts[-1]
 
 
-@dataclass(frozen=True)
-class CanonicalDiagram:
+class CanonicalDiagram(namedtuple("CanonicalDiagram", "order pairing")):
     """Orbit representative: the lexicographically minimal pairing.
 
     Orbits are taken under the (2m)!! vertex relabellings and point swaps.
     """
 
-    order: int
-    pairing: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    """Decomposition of connected pairings under the diagram symmetry group."""
+class OrbitCensus(
+    namedtuple("OrbitCensus", "order orbit_count orbit_sizes representatives matches")
+):
+    """Decomposition of connected pairings under the diagram symmetry group.
 
-    order: int
-    orbit_count: int
-    orbit_sizes: dict[int, int]
-    representatives: tuple[CanonicalDiagram, ...]
-    #: Tally of every pairing by vacuum-part size, from the same walk.
-    matches: MatchCensus
+    `matches` is the tally of every pairing by vacuum-part size, from the
+    same walk.
+    """
+
+    __slots__ = ()
 
 
 def _check_order(m: int) -> None:
@@ -217,16 +213,17 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
 
     A depth-first walk builds each pairing in the order `_reached` reads
     its slots: the i-th queued slot is contracted with each free creation
-    slot in ascending order, and the queue length, the labels and the
-    canonical prefix (each contraction's new number) are carried down the
-    tree and undone on the way back.  A prefix stops growing when nothing
-    is left to reach: either the queue has run out, so the queued slots
-    are closed under the pairing and every completion cuts the other
-    vertices off, or it holds all slots, so every completion is connected
-    and its orbit minimum is the prefix followed by the labels in the
-    order taken.  The loop that makes the last contraction of such a
-    prefix tallies it on the spot, one completion, a permutation of the
-    free creation slots, at a time.
+    slot in ascending order, and the queue length and the labels are
+    carried down the tree and undone on the way back.  The canonical
+    prefix (each contraction's new number) is written at index i, so a
+    deeper call overwrites only what lies past it.  A prefix stops growing
+    when nothing is left to reach: either the queue has run out, so the
+    queued slots are closed under the pairing and every completion cuts
+    the other vertices off, or it holds all slots, so every completion is
+    connected and its orbit minimum is the prefix followed by the labels
+    in the order taken.  The loop that makes the last contraction of such
+    a prefix tallies it on the spot, generating each completion, a
+    permutation of the free creation slots, and counting it once.
 
     Given `shard`, each connected pairing with p[0] == 1 adds 1 to its
     orbit minimum there.
@@ -236,7 +233,7 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
     partner = [0] + [c + 1 if c & 1 else c - 1 for c in range(1, n)]
     free = list(range(n))  # creation slots not yet contracted, ascending
     label = [0] + [-1] * (n - 1)  # new number of each numbered slot
-    prefix: list[int] = []
+    prefix = [0] * n  # new number of the slot each queued slot is contracted with
 
     def extend(i: int, queued: int) -> None:
         for j in range(len(free)):
@@ -245,20 +242,18 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
             if label[c] < 0:
                 label[c], label[partner[c]] = queued, queued + 1
                 reached += 2
-            prefix.append(label[c])
+            prefix[i] = label[c]
             if i + 1 < reached < n:
                 extend(i + 1, reached)
             # slot 1 is numbered 1 exactly when p[0] == 1
             elif reached == n and shard is not None and label[1] == 1:
-                head = tuple(prefix)
-                for tail in itertools.permutations([label[d] for d in free]):
-                    parts[0] += 1
-                    shard[head + tail] += 1
+                tails = list(itertools.permutations([label[d] for d in free]))
+                parts[0] += len(tails)
+                shard.update(map(tuple(prefix[: i + 1]).__add__, tails))
             else:
                 vacuum = (n - reached) // 2
                 for _ in itertools.permutations(free):
                     parts[vacuum] += 1
-            prefix.pop()
             if reached > queued:
                 label[c] = label[partner[c]] = -1
             free.insert(j, c)

@@ -201,6 +201,7 @@ def test_verify_json(capsys):
         "composition-count", "wick-total", "wick-connected", "wick-vacuum",
         "orbit-count", "orbit-histogram",
     } <= names
+    assert {tuple(c) for c in payload["checks"]} == {counting.Check._fields}
 
 
 def test_verify_stdout_is_pinned_at_the_coefficient_suite_cap(capsys):
@@ -374,6 +375,13 @@ def test_export_subcommand(capsys, tmp_path):
     assert (out_dir / "diagram_m2_1.dot").read_text() == first
 
 
+def test_empty_output_directory_is_the_working_directory(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "export", "--order", "1", "--out-dir", "")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diagram_m1_1.dot", "diagram_m1_2.dot"]
+
+
 def test_export_order_four_dot_files_are_pinned(capsys, tmp_path):
     code, out, _ = run(capsys, "export", "--order", "4", "--out-dir", str(tmp_path))
     assert code == 0
@@ -498,3 +506,57 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: counting.count_table(1)[1],
+         "CountRow(m=1, total=6, bubble=2, connected=4, distinct=2)"),
+        (lambda: counting.verify_divisibility(1).checks[0],
+         "Check(name='divisibility', params='m=1', expected='0', actual='0', passed=True)"),
+        # the README's two reprs
+        (lambda: oracle.enumerate_matchings(3), "MatchCensus(vacuum_parts=(3552, 480, 288, 720))"),
+        (lambda: oracle.canonical_form((2, 0, 1), 1), "CanonicalDiagram(order=1, pairing=(1, 2, 0))"),
+        (lambda: oracle.orbit_census(1),
+         "OrbitCensus(order=1, orbit_count=2, orbit_sizes={2: 2}, representatives=("
+         "CanonicalDiagram(order=1, pairing=(1, 0, 2)), CanonicalDiagram(order=1, pairing=(1, 2, 0))), "
+         "matches=MatchCensus(vacuum_parts=(4, 2)))"),
+    ],
+    ids=["CountRow", "Check", "MatchCensus", "CanonicalDiagram", "OrbitCensus"],
+)
+def test_records_are_immutable_named_tuples(make, text):
+    record = make()
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.note = ""
+    # unpacks, rebuilds and compares by value, in field order
+    assert type(record)(*record) == type(record)(**record._asdict()) == make()
+    assert list(record._asdict()) == list(record._fields)
+
+
+def test_startup_loads_only_the_modules_a_command_uses():
+    # -S keeps the site module's .pth files from importing modules of their own
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "watched = ('dataclasses', 'inspect', 'json', 'pathlib', 'decimal')\n"
+        "def report():\n"
+        "    print(*[name for name in watched if name in sys.modules], sep=',', file=sys.stderr)\n"
+        "import feyncount\n"
+        "from feyncount import cli\n"
+        "report()\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert cli.main(argv.split()) == 0\n"
+        "    report()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "compositions --n 1",
+         "counts --max-order 4 --format csv", "verify --max-order 2 --format json"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["", "", "decimal", "json,decimal"]

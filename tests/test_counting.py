@@ -417,6 +417,12 @@ def test_coefficient_recursion_minimal():
     assert len(report.checks) == 1
 
 
+def test_fresh_reports_share_no_checks_list():
+    first, second = counting.VerificationReport(), counting.VerificationReport()
+    first.add("x", "", 1, 1)
+    assert second.checks == []
+
+
 def test_report_renders_past_the_int_str_digit_limit():
     # the CLI lifts the limit for its own process, so restore the default here
     previous = sys.get_int_max_str_digits()
