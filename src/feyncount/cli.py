@@ -36,6 +36,13 @@ def _print_csv(rows: Iterable) -> None:
         print(",".join(row))
 
 
+def _print_json(payload: dict) -> None:
+    # imported here so that processes printing no json never load it
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _count_cells(rows: list[counting.CountRow]) -> Iterator[list[str]]:
     """The cells of `count_table` rows from order 0 up, one row at a time.
 
@@ -70,9 +77,6 @@ def cmd_counts(args: argparse.Namespace) -> int:
         # each row is printed as it is made, so its text is never all alive
         _print_csv(chain([header], cells))
     elif args.format == "json":
-        # imported where used, so that processes printing no json never load it
-        import json
-
         payload = {
             "max_order": args.max_order,
             "method": args.method,
@@ -80,7 +84,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
                 {"m": r.m, **dict(zip(header[1:], row[1:]))} for r, row in zip(rows, cells)
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     return 0
 
 
@@ -129,15 +133,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = _verify_report(args.max_order)
     passed = sum(1 for c in report.checks if c.passed)
     if args.format == "json":
-        import json
-
         payload = {
             "overall": report.overall,
             "passed": passed,
             "total": len(report.checks),
             "checks": [c._asdict() for c in report.checks],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         rows = [["check", "params", "expected", "actual", "status"]]
         rows += [
@@ -181,12 +183,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         sizes = {str(size): str(count) for size, count in orbits.orbit_sizes.items()}
 
     if args.format == "json":
-        import json
-
         payload: dict = {"order": m, **record}
         if orbits is not None:
             payload["orbit_sizes"] = sizes
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         pairs = [("order", str(m)), *record.items()]
         pairs += [(f"orbit_size_{size}", count) for size, count in sizes.items()]

@@ -213,17 +213,16 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
 
     A depth-first walk builds each pairing in the order `_reached` reads
     its slots: the i-th queued slot is contracted with each free creation
-    slot in ascending order, and the queue length and the labels are
-    carried down the tree and undone on the way back.  The canonical
-    prefix (each contraction's new number) is written at index i, so a
-    deeper call overwrites only what lies past it.  A prefix stops growing
-    when nothing is left to reach: either the queue has run out, so the
-    queued slots are closed under the pairing and every completion cuts
-    the other vertices off, or it holds all slots, so every completion is
-    connected and its orbit minimum is the prefix followed by the labels
-    in the order taken.  The loop that makes the last contraction of such
-    a prefix tallies it on the spot, generating each completion, a
-    permutation of the free creation slots, and counting it once.
+    slot in ascending order, and the queue length, the labels and the
+    canonical prefix (each contraction's new number) are carried down the
+    tree and undone on the way back.  A prefix stops growing when nothing
+    is left to reach: either the queue has run out, so the queued slots
+    are closed under the pairing and every completion cuts the other
+    vertices off, or it holds all slots, so every completion is connected
+    and its orbit minimum is the prefix followed by the labels in the
+    order taken.  The loop that makes the last contraction of such a
+    prefix tallies it on the spot, one completion, a permutation of the
+    free creation slots, at a time.
 
     Given `shard`, each connected pairing with p[0] == 1 adds 1 to its
     orbit minimum there.
@@ -233,7 +232,7 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
     partner = [0] + [c + 1 if c & 1 else c - 1 for c in range(1, n)]
     free = list(range(n))  # creation slots not yet contracted, ascending
     label = [0] + [-1] * (n - 1)  # new number of each numbered slot
-    prefix = [0] * n  # new number of the slot each queued slot is contracted with
+    prefix: list[int] = []
 
     def extend(i: int, queued: int) -> None:
         for j in range(len(free)):
@@ -242,18 +241,20 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
             if label[c] < 0:
                 label[c], label[partner[c]] = queued, queued + 1
                 reached += 2
-            prefix[i] = label[c]
+            prefix.append(label[c])
             if i + 1 < reached < n:
                 extend(i + 1, reached)
             # slot 1 is numbered 1 exactly when p[0] == 1
             elif reached == n and shard is not None and label[1] == 1:
-                tails = list(itertools.permutations([label[d] for d in free]))
-                parts[0] += len(tails)
-                shard.update(map(tuple(prefix[: i + 1]).__add__, tails))
+                head = tuple(prefix)
+                for tail in itertools.permutations([label[d] for d in free]):
+                    parts[0] += 1
+                    shard[head + tail] += 1
             else:
                 vacuum = (n - reached) // 2
                 for _ in itertools.permutations(free):
                     parts[vacuum] += 1
+            prefix.pop()
             if reached > queued:
                 label[c] = label[partner[c]] = -1
             free.insert(j, c)
