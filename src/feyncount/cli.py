@@ -22,6 +22,8 @@ from .counting import ExactnessError, MethodDisagreementError, VerificationRepor
 # weights sum over the p(m) partitions per order, not 2**m compositions, so
 # order 30 would take about a second, but each order above the cap adds rows.
 _COEFFICIENT_SUITE_CAP = 20
+# verify's composition rows stream all 2**(n-1) compositions of each n: 65,535 up to n = 16
+_COMPOSITION_SUITE_CAP = 16
 
 
 def _print_aligned(rows: list[Sequence[str]]) -> None:
@@ -103,7 +105,7 @@ def _verify_report(max_order: int) -> VerificationReport:
         )
     report.extend(counting.verify_coefficient_recursion(coefficient_cap))
 
-    for n in range(1, min(max_order, 16) + 1):
+    for n in range(1, min(max_order, _COMPOSITION_SUITE_CAP) + 1):
         streamed = sum(1 for _ in enumerate_compositions(n))
         report.add("composition-count", f"n={n}", 1 << (n - 1), streamed)
         report.add("composition-count-formula", f"n={n}", 1 << (n - 1), count_compositions(n))
@@ -221,8 +223,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
-        # argparse drops an OSError from this write; a closed stdout is an error here
-        (sys.stdout if file is None else file).write(self.format_help())
+        # argparse drops an OSError from its own write and exits with the text still
+        # buffered; a closed stdout is an error here, raised by the write or the flush
+        print(self.format_help(), end="", file=file, flush=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,17 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Counts outgrow CPython's default 4300-digit limit on int -> str rendering.
     # The limit is lifted for this call only; the caller gets its own back.
-    limit = None
-    if hasattr(sys, "set_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit:
-            # --help exits with its text still buffered; see the flush below
-            sys.stdout.flush()
-            raise
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         # a closed stdout then fails here, not in the flush at exit
         sys.stdout.flush()
@@ -300,8 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

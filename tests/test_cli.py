@@ -430,12 +430,20 @@ def test_compositions_renders_past_the_int_str_digit_limit(capsys, default_digit
 
 @pytest.mark.parametrize(
     "argv, expected_code",
-    [(["counts", "--max-order", "1"], 0), (["compositions", "--n", "0"], 2)],
+    [
+        (["counts", "--max-order", "1"], 0),
+        (["compositions", "--n", "0"], 2),
+        (["counts", "--help"], 0),  # argparse exits: SystemExit, not a return
+        (["counts"], 2),
+    ],
 )
 def test_main_gives_back_the_callers_int_str_digit_limit(
     capsys, default_digit_limit, argv, expected_code
 ):
-    code, _, _ = run(capsys, *argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     assert code == expected_code
     assert sys.get_int_max_str_digits() == default_digit_limit
 
@@ -490,6 +498,17 @@ def test_closed_stdout_is_an_error_line(argv, unbuffered):
     assert proc.returncode == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["counts", "--help"], ["--help"]])
+def test_help_in_a_fresh_interpreter_reaches_an_open_pipe(argv, unbuffered):
+    # the text's width follows COLUMNS, so only its ends are pinned
+    proc = spawn(*argv, unbuffered=unbuffered)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == ""
+    assert out.startswith("usage: feyncount") and out.endswith("\n")
 
 
 def test_help_goes_to_stdout_and_exits_zero(capsys):
