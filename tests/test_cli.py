@@ -565,8 +565,14 @@ def test_startup_loads_only_the_modules_a_command_uses():
         "watched = ('dataclasses', 'inspect', 'json', 'pathlib', 'decimal')\n"
         "def report():\n"
         "    print(*[name for name in watched if name in sys.modules], sep=',', file=sys.stderr)\n"
+        "def package():\n"
+        "    print(*sorted(name.partition('.')[2] for name in sys.modules if name.startswith('feyncount.')), sep=',')\n"
         "import feyncount\n"
+        "package()\n"
+        "feyncount.distinct_connected(3)\n"
+        "package()\n"
         "from feyncount import cli\n"
+        "package()\n"
         "report()\n"
         "for argv in sys.argv[1:]:\n"
         "    assert cli.main(argv.split()) == 0\n"
@@ -575,7 +581,12 @@ def test_startup_loads_only_the_modules_a_command_uses():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, "compositions --n 1",
          "counts --max-order 4 --format csv", "verify --max-order 2 --format json"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == ["", "", "decimal", "json,decimal"]
+    # the package's own modules, reported before any command writes to stdout:
+    # a per-order count never compiles the oracle, the command loads it all
+    assert proc.stdout.splitlines()[:3] == [
+        "", "compositions,counting", "cli,compositions,counting,oracle",
+    ]
