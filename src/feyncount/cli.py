@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from . import counting, oracle
-from .compositions import _Refusal, count_compositions, enumerate_compositions
+from .compositions import _Refusal, _at_least, count_compositions, enumerate_compositions
 from .counting import ExactnessError, MethodDisagreementError, VerificationReport
 
 # Verify runs the coefficient-recursion suite no further than this order.  Its
@@ -130,8 +130,7 @@ def _verify_report(max_order: int) -> VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_order < 1:
-        raise _Refusal(f"--max-order must be >= 1, got {args.max_order}")
+    _at_least(args.max_order, 1, "--max-order")
     report = _verify_report(args.max_order)
     passed = sum(1 for c in report.checks if c.passed)
     if args.format == "json":
@@ -204,8 +203,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_compositions(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise _Refusal(f"--n must be >= 1, got {args.n}")
+    _at_least(args.n, 1, "--n")
     if args.list:
         for parts in enumerate_compositions(args.n):
             print("+".join(str(part) for part in parts))

@@ -22,13 +22,19 @@ from collections.abc import Iterator, Mapping
 
 
 # Defined in this module, which imports no other part of the package, so that
-# every module can raise it.
+# every module can raise it, and refuse an input below its floor by `_at_least`.
 class _Refusal(ValueError):
     """An input or a cap was refused before any work started.
 
     The command line exits 2 for exactly this type.  Any other ValueError
     is a fault in the program and exits 1.
     """
+
+
+def _at_least(value: int, least: int, name: str) -> None:
+    """Refuse `value` below its floor `least`, naming it `name`."""
+    if value < least:
+        raise _Refusal(f"{name} must be >= {least}, got {value}")
 
 
 def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -44,8 +50,7 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     across calls.  n = 0 yields the single empty composition by
     convention.
     """
-    if n < 0:
-        raise _Refusal(f"cannot compose a negative total: {n}")
+    _at_least(n, 0, "n")
     if n == 0:
         yield ()
         return
@@ -59,8 +64,7 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 def count_compositions(n: int) -> int:
     """Number of compositions of n: 2**(n-1), and 1 for the empty n = 0."""
-    if n < 0:
-        raise _Refusal(f"cannot compose a negative total: {n}")
+    _at_least(n, 0, "n")
     return 1 if n == 0 else 1 << (n - 1)
 
 

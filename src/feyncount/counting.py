@@ -35,8 +35,13 @@ c(m) = m! V(1, m), so callers only see the counts.
 The walk's counts are memoised once per process in a write-once memo, so
 a per-order query after the first is a lookup.  The other builders keep no
 memo and share no table: each steps its own factorial products, and single
-factorials come from `math.factorial`, so agreement between the routes
-still compares separate computations.
+factorials come from `math.factorial`.  They do not derive separate
+series, though.  With a(n) the Arques-Walsh sequence, the recurrence's
+c(m)/m! is 2**m a(m+1), and the closed form's weights are
+g(k) = -2**k a(k) for k >= 1.  So the three compute one series by three
+algorithms: a long division, a reciprocal with a convolution, and a
+quadratic recurrence.  Only the walk, and the oracle's exhaustive census,
+derive the counts independently of that series.
 
 All arithmetic is exact; counts are plain Python integers and must never
 pass through floating point.
@@ -48,7 +53,7 @@ import math
 import threading
 from collections import namedtuple
 
-from .compositions import _Refusal, _part_multisets, multiset_multiplicity
+from .compositions import _Refusal, _at_least, _part_multisets, multiset_multiplicity
 
 class ExactnessError(Exception):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -67,11 +72,6 @@ _grow_lock = threading.Lock()
 _walk_memo = ([1], [1, 0])
 
 
-def _check_order(m: int) -> None:
-    if m < 0:
-        raise _Refusal(f"perturbation order must be >= 0, got {m}")
-
-
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
@@ -83,13 +83,13 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
 
 def total_diagrams(m: int) -> int:
     """Total number of order-m diagrams, connected or not: (2m+1)!."""
-    _check_order(m)
+    _at_least(m, 0, "perturbation order")
     return math.factorial(2 * m + 1)
 
 
 def bubble_diagrams(m: int) -> int:
     """Number of order-m vacuum (bubble) diagrams: (2m)!."""
-    _check_order(m)
+    _at_least(m, 0, "perturbation order")
     return math.factorial(2 * m)
 
 
@@ -151,7 +151,7 @@ def connected_sequence(m_max: int) -> list[int]:
     d(m) = (2m+1)!/m! - sum_{n=1..m} (2n)!/n! * d(m-n) on d = c/m!, with no
     binomials.  Each call builds the sequence afresh and returns a new list.
     """
-    _check_order(m_max)
+    _at_least(m_max, 0, "perturbation order")
     kernel = [1]  # (2n)!/n!
     for n in range(1, m_max + 1):
         kernel.append(kernel[-1] * (4 * n - 2))
@@ -205,7 +205,7 @@ def coefficient(n: int, m: int) -> int:
     parts a composition uses, so the sum runs over the part multisets of
     m - n, the paper's classificatory sum (`_classificatory_sum`).
     """
-    _check_order(m)
+    _at_least(m, 0, "perturbation order")
     if not 1 <= n <= m:
         raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
     return math.perm(m, m - n) * _classificatory_sum(m - n)
@@ -221,7 +221,7 @@ def _closed_form_sequence(m_max: int) -> list[int]:
     (2n+1)! - (2n)! = 2n (2n)!, the count over m! is then the convolution
     c(m)/m! = sum_{n=1..m} g(m-n) * 2n (2n)!/n!.
     """
-    _check_order(m_max)
+    _at_least(m_max, 0, "perturbation order")
     ratio = [1]  # (2a)!/a!
     for a in range(1, m_max + 1):
         ratio.append(ratio[-1] * (4 * a - 2))
@@ -256,7 +256,7 @@ def _arques_walsh_sequence(m_max: int) -> list[int]:
     a(n) = (2n-3) a(n-1) + sum_{k=1..n-1} a(k) a(n-k),
     so the sequence is built from itself alone.
     """
-    _check_order(m_max)
+    _at_least(m_max, 0, "perturbation order")
     a = [0, 1]
     for n in range(2, m_max + 2):
         a.append((2 * n - 3) * a[n - 1] + sum(a[k] * a[n - k] for k in range(1, n)))
@@ -274,7 +274,7 @@ def distinct_connected(m: int) -> int:
     Exact division of the walk's count, read from its memo, by the
     symmetry-group order; a remainder raises ExactnessError.
     """
-    _check_order(m)
+    _at_least(m, 0, "perturbation order")
     return _exact_div(
         _walk_counts(m)[m], double_factorial(2 * m), "connected count over (2m)!!"
     )
@@ -307,7 +307,7 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
     or "all", which computes every route, keeps the first one's column,
     and raises MethodDisagreementError on any mismatch.
     """
-    _check_order(max_order)
+    _at_least(max_order, 0, "perturbation order")
     if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method: {method!r}")
     names = list(_ROUTES) if method == "all" else [method]
@@ -367,11 +367,6 @@ class VerificationReport:
         return all(check.passed for check in self.checks)
 
 
-def _check_suite_order(m_max: int) -> None:
-    if m_max < 1:
-        raise _Refusal(f"m_max must be >= 1, got {m_max}")
-
-
 def verify_convolution(m_max: int) -> VerificationReport:
     """Check (2m+1)! = sum_n binom(m,n) (2n)! * connected(m-n) for 1 <= m <= m_max.
 
@@ -380,7 +375,7 @@ def verify_convolution(m_max: int) -> VerificationReport:
     the walk derives its counts from the pairing model instead, so these
     rows test it against the vacuum split of the (2m+1)! pairings.
     """
-    _check_suite_order(m_max)
+    _at_least(m_max, 1, "m_max")
     connected = _walk_counts(m_max)
     bubbles = [math.factorial(2 * n) for n in range(m_max + 1)]
     report = VerificationReport()
@@ -399,7 +394,7 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
     -sum_{n=s}^{m} binom(m+1, m-n+1) * (2(m-n+1))! * weight(s, n).
     Failing pairs are reported, not raised.
     """
-    _check_suite_order(m_max)
+    _at_least(m_max, 1, "m_max")
     # each weight either side reads is evaluated directly, as `coefficient`
     # does, with each classificatory sum taken once per n - s
     sums = [_classificatory_sum(k) for k in range(m_max + 1)]
@@ -425,7 +420,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
     For 1 <= n <= m_max: total(n) = (n!/2) * bubble(n+1)/(n+1)!  and
     bubble(n) = bubble(1) * bubble(n) / 2, both with exact division.
     """
-    _check_suite_order(m_max)
+    _at_least(m_max, 1, "m_max")
     report = VerificationReport()
     for n in range(1, m_max + 1):
         numerator = math.factorial(n) * bubble_diagrams(n + 1)
@@ -435,7 +430,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
             "total-rewrite",
             f"n={n}",
             total_diagrams(n),
-            quotient if remainder == 0 else f"{numerator}/{denominator}",
+            quotient if remainder == 0 else f"{_render(numerator)}/{_render(denominator)}",
         )
         halved, remainder = divmod(bubble_diagrams(1) * bubble_diagrams(n), 2)
         report.add(
@@ -449,7 +444,7 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
 
 def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
-    _check_suite_order(m_max)
+    _at_least(m_max, 1, "m_max")
     connected = _ROUTES["recurrence"](m_max)
     columns = {name: _ROUTES[name](m_max) for name in ("closed-form", "arques-walsh")}
     report = VerificationReport()
@@ -465,7 +460,7 @@ def verify_divisibility(m_max: int) -> VerificationReport:
     The walk counts pairings, so this is orbit-stabiliser on the pairing
     model: every orbit of the relabeling group has (2m)!! members.
     """
-    _check_suite_order(m_max)
+    _at_least(m_max, 1, "m_max")
     connected = _walk_counts(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):

@@ -43,7 +43,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .compositions import _Refusal
+from .compositions import _Refusal, _at_least
 
 #: Largest order enumerated without an explicit override.
 DEFAULT_ORDER_CAP = 4
@@ -99,14 +99,9 @@ class OrbitCensus(
     __slots__ = ()
 
 
-def _check_order(m: int) -> None:
-    if m < 1:
-        raise _Refusal(f"order must be >= 1, got {m}")
-
-
 def _check_cap(m: int, override: bool, keyword: str = "override=True") -> None:
     """Refuse an order above the caps; `keyword` names the way to override."""
-    _check_order(m)
+    _at_least(m, 1, "order")
     if m <= DEFAULT_ORDER_CAP:
         return
     pairings = math.factorial(2 * m + 1)
@@ -184,7 +179,7 @@ def enumerate_matchings(m: int, *, override: bool = False) -> MatchCensus:
 
 
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
-    _check_order(m)
+    _at_least(m, 1, "order")
     n = 2 * m + 1
     if len(pairing) != n or sorted(pairing) != list(range(n)):
         raise _Refusal(f"not a bijection on {n} slots: {pairing}")
@@ -294,7 +289,7 @@ def orbit_census(m: int) -> OrbitCensus:
     Orders above `DEFAULT_ORDER_CAP` are refused with their cost before
     any pairing is walked; no override reaches them.
     """
-    _check_order(m)
+    _at_least(m, 1, "order")
     if m > DEFAULT_ORDER_CAP:
         raise OrderCapError(
             f"orbit census at order {m} would classify (2m+1)! = "

@@ -248,6 +248,37 @@ def test_verify_rejects_order_zero(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("counts --max-order -1", "perturbation order must be >= 0, got -1"),
+        ("verify --max-order 0", "--max-order must be >= 1, got 0"),
+        ("oracle --order 0", "order must be >= 1, got 0"),
+        ("export --order 0 --out-dir D", "order must be >= 1, got 0"),
+        ("compositions --n 0", "--n must be >= 1, got 0"),
+        (
+            "oracle --order 5",
+            "order 5 means enumerating (2m+1)! = 39916800 pairings; "
+            "pass --override to proceed up to order 5",
+        ),
+        (
+            "oracle --order 6 --override",
+            "order 6 means enumerating (2m+1)! = 6227020800 pairings; the hard cap is 5",
+        ),
+        (
+            "export --order 5 --out-dir D",
+            "orbit census at order 5 would classify (2m+1)! = 39916800 pairings; "
+            "the census cap is 4",
+        ),
+    ],
+)
+def test_refusals_exit_2_with_one_exact_line(capsys, tmp_path, argv, line):
+    argv = [str(tmp_path / "D") if arg == "D" else arg for arg in argv.split()]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+    assert not (tmp_path / "D").exists()
+
+
 def test_oracle_table(capsys):
     code, out, err = run(capsys, "oracle", "--order", "1")
     assert code == 0

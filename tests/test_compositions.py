@@ -85,9 +85,11 @@ def test_empty_total_convention():
 
 
 def test_negative_total_rejected():
-    with pytest.raises(ValueError):
-        list(enumerate_compositions(-1))
-    with pytest.raises(ValueError):
+    # the generator refuses on its first step, not when it is made
+    stream = enumerate_compositions(-1)
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        next(stream)
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
         count_compositions(-3)
 
 

@@ -4,6 +4,7 @@ recurrence, closed form, Arques-Walsh sum, and the identity suites."""
 import functools
 import math
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -438,6 +439,24 @@ def test_report_renders_past_the_int_str_digit_limit():
     assert check.expected == check.actual == "1" + "0" * 5000
 
 
+def test_failing_rewrite_row_renders_past_the_int_str_digit_limit(monkeypatch):
+    # a bubble count planted one too high leaves every total-rewrite division
+    # inexact; at n = 600 its numerator has more than 4300 digits
+    bubble = counting.bubble_diagrams
+    monkeypatch.setattr(counting, "bubble_diagrams", lambda n: bubble(n) + (n > 1))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        report = verify_rewrite_identities(600)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    rows = [check for check in report.checks if check.name == "total-rewrite"]
+    assert len(rows) == 600 and not any(check.passed for check in rows)
+    numerator = math.factorial(600) * (bubble(601) + 1)
+    assert numerator > 10**4300
+    assert rows[-1].actual == f"{Decimal(numerator)}/{Decimal(2 * math.factorial(601))}"
+
+
 def test_rewrite_identities_by_hand():
     assert total_diagrams(1) == (math.factorial(1) * bubble_diagrams(2)) // (2 * math.factorial(2))
     assert total_diagrams(2) == (math.factorial(2) * bubble_diagrams(3)) // (2 * math.factorial(3))
@@ -466,6 +485,12 @@ def test_exact_division_guard():
     assert counting._exact_div(384 * 706, 384, "check") == 706
     with pytest.raises(ExactnessError):
         counting._exact_div(7, 2, "check")
+
+
+def test_coefficient_refuses_a_negative_order_before_its_range():
+    with pytest.raises(_Refusal) as exc:
+        coefficient(1, -1)
+    assert str(exc.value) == "perturbation order must be >= 0, got -1"
 
 
 def test_negative_order_rejected():

@@ -1,8 +1,16 @@
-"""The package namespace: its public names and when their modules load."""
+"""The package namespace: its public names, when their modules load, and
+the floor below which each entry point refuses its input."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import feyncount
+from feyncount.compositions import _Refusal
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -67,3 +75,55 @@ def test_public_names_are_their_modules_objects_and_load_on_first_use():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == proc.stderr == ""
+
+
+def _pairing(call):
+    """An entry point that takes a pairing, given the identity one of order m."""
+    return lambda m: call(tuple(range(2 * m + 1)), m)
+
+
+# Every public entry point with a floor on one integer argument: the floor and
+# the name its refusal gives that argument.  `coefficient` refuses its floor
+# before its n range, and at m = 0 that range is empty, so test_counting tests
+# it apart.
+FLOORS = {
+    "total_diagrams": (0, "perturbation order"),
+    "bubble_diagrams": (0, "perturbation order"),
+    "connected_sequence": (0, "perturbation order"),
+    "connected_recurrence": (0, "perturbation order"),
+    "connected_closed_form": (0, "perturbation order"),
+    "arques_walsh": (0, "perturbation order"),
+    "distinct_connected": (0, "perturbation order"),
+    "count_table": (0, "perturbation order"),
+    "verify_convolution": (1, "m_max"),
+    "verify_coefficient_recursion": (1, "m_max"),
+    "verify_rewrite_identities": (1, "m_max"),
+    "verify_three_path": (1, "m_max"),
+    "verify_divisibility": (1, "m_max"),
+    "enumerate_matchings": (1, "order"),
+    "orbit_census": (1, "order"),
+    "canonical_form": (1, "order"),
+    "matching_is_connected": (1, "order"),
+    "diagram_edges": (1, "order"),
+    "count_compositions": (0, "n"),
+    "enumerate_compositions": (0, "n"),
+}
+CALLS = {
+    "canonical_form": _pairing(feyncount.canonical_form),
+    "matching_is_connected": _pairing(feyncount.matching_is_connected),
+    "diagram_edges": _pairing(feyncount.diagram_edges),
+    # the generator refuses on its first step
+    "enumerate_compositions": lambda n: next(feyncount.enumerate_compositions(n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOORS))
+@settings(max_examples=10, deadline=None)
+@given(below=st.integers(max_value=-1))
+def test_every_entry_point_refuses_below_its_floor_and_not_at_it(name, below):
+    least, label = FLOORS[name]
+    call = CALLS.get(name, getattr(feyncount, name))
+    with pytest.raises(_Refusal) as exc:
+        call(least + below)
+    assert str(exc.value) == f"{label} must be >= {least}, got {least + below}"
+    call(least)
