@@ -4,7 +4,7 @@
 Each suite returns a report of named exact-equality checks:
 
   * convolution      : the factorial total rebuilt from bubble x walk counts
-  * divisibility     : (2m)!! divides the connected count
+  * divisibility     : (2m)!! divides the recurrence's connected count
   * rewrites         : factorial identities bridging the two count formulas
   * three-path       : recurrence vs closed form vs Arques-Walsh
   * coefficient      : the recursion that propagates closed-form weights
@@ -35,7 +35,7 @@ def show(title, report, sample=3):
 
 def main():
     show("Convolution identity, m <= 30", verify_convolution(30))
-    show("Divisibility by (2m)!!, m <= 30", verify_divisibility(30))
+    show("Divisibility of the recurrence's counts by (2m)!!, m <= 30", verify_divisibility(30))
     show("Factorial rewrites, n <= 12", verify_rewrite_identities(12))
     show("Three-path agreement, m <= 14", verify_three_path(14))
     show("Coefficient recursion, all (s, m) pairs with m <= 10",

@@ -28,16 +28,16 @@ reading the closed form's series.
 The recurrence and the closed form both run on c(m)/m!, the connected
 count divided by m!: the binomials of the recurrence and the falling
 factorials of the closed form cancel, and the operands are about half the
-size.  The walk likewise runs on V(r, u) = W(r, u)/u!, where its 2u
-multiplier becomes a doubling.  All three multiply back by m!, the walk as
-c(m) = m! V(1, m), so callers only see the counts.
+size; both multiply back by m!.  The walk runs on D(r, u) = W(r, u)/(2**u u!),
+where its 2u multiplier drops out and D(1, m) is the distinct count; it and
+the Arques-Walsh route multiply their distinct counts by (2m)!!.
 
-The walk's counts are memoised once per process in a write-once memo, so
-a per-order query after the first is a lookup.  The other builders keep no
-memo and share no table: each steps its own factorial products, and single
-factorials come from `math.factorial`.  They do not derive separate
-series, though.  With a(n) the Arques-Walsh sequence, the recurrence's
-c(m)/m! is 2**m a(m+1), and the closed form's weights are
+The walk's distinct counts are memoised once per process in a write-once
+memo, so a per-order query after the first is a lookup.  The other
+builders keep no memo and share no table: each steps its own factorial
+products, and single factorials come from `math.factorial`.  They do not
+derive separate series, though.  With a(n) the Arques-Walsh sequence, the
+recurrence's c(m)/m! is 2**m a(m+1), and the closed form's weights are
 g(k) = -2**k a(k) for k >= 1.  So the three compute one series by three
 algorithms: a long division, a reciprocal with a convolution, and a
 quadratic recurrence.  Only the walk, and the oracle's exhaustive census,
@@ -68,17 +68,8 @@ class MethodDisagreementError(Exception):
 # copy under the lock and swaps the reference, so the memo, once published,
 # is never written again and a growth cut short leaves the old one intact.
 _grow_lock = threading.Lock()
-# c(0..M) and the walk's last diagonal s = M + 1, of V = W/u!; see `_walk_counts`.
+# The distinct counts D(1, 0..M) and the walk's last diagonal; see `_walk_counts`.
 _walk_memo = ([1], [1, 0])
-
-
-def _exact_div(numerator: int, denominator: int, what: str) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ExactnessError(
-            f"{what}: {_render(numerator)} is not divisible by {_render(denominator)}"
-        )
-    return quotient
 
 
 def total_diagrams(m: int) -> int:
@@ -102,7 +93,7 @@ def double_factorial(k: int) -> int:
 
 
 def _walk_counts(m: int) -> list[int]:
-    """The walk's memo of connected counts c(0..M), grown to M >= m.
+    """The walk's memo of distinct counts D(1, 0..M), grown to M >= m.
 
     The oracle's walk contracts its queued slots in turn, starting from
     X's.  How a partial walk can finish depends only on r, the queued
@@ -113,11 +104,11 @@ def _walk_counts(m: int) -> list[int]:
     W(r, u) = 2u W(r+1, u-1) + r W(r-1, u), with W(r, 0) = r! and
     W(0, u) = 0 for u > 0, as the walk then closed X's component short
     of some vertex; and c(m) = W(1, m).  The sweep runs on
-    V(r, u) = W(r, u)/u!, where the 2u becomes a doubling:
-    V(r, u) = 2 V(r+1, u-1) + r V(r-1, u), V(r, 0) = r!, and
-    c(m) = m! V(1, m).  It takes one diagonal s = r + u at a time, kept
-    as the list of V(s-u, u) by u.  The memo is returned, not a copy:
-    callers must not change it.
+    D(r, u) = W(r, u)/(2**u u!), which enters each fresh vertex once, under
+    its next label at its unprimed point: D(r, u) = D(r+1, u-1) + r D(r-1, u),
+    D(r, 0) = r!, and D(1, m) = c(m)/(2m)!!, the distinct count.  It takes
+    one diagonal s = r + u at a time, kept as the list of D(s-u, u) by u.
+    The memo is returned, not a copy: callers must not change it.
     """
     global _walk_memo
     values, _ = _walk_memo
@@ -128,15 +119,13 @@ def _walk_counts(m: int) -> list[int]:
         if m >= len(values):
             values, diagonal = list(values), list(diagonal)
             for s in range(len(values) + 1, m + 2):
-                # in place: diagonal[u] turns from V(s-1-u, u) into V(s-u, u);
-                # diagonal[0] is (s-1)!, so m! comes from the sweep itself
-                fact = diagonal[0]
-                walks = diagonal[0] = fact * s
+                # in place: diagonal[u] turns from D(s-1-u, u) into D(s-u, u)
+                walks = diagonal[0] = diagonal[0] * s
                 for u in range(1, s):
-                    walks = (walks << 1) + (s - u) * diagonal[u]
+                    walks += (s - u) * diagonal[u]
                     diagonal[u] = walks
                 diagonal.append(0)
-                values.append(fact * walks)
+                values.append(walks)
             _walk_memo = (values, diagonal)
     return values
 
@@ -269,27 +258,28 @@ def arques_walsh(m: int) -> int:
 
 
 def distinct_connected(m: int) -> int:
-    """Connected order-m diagrams up to the (2m)!! relabeling symmetry.
-
-    Exact division of the walk's count, read from its memo, by the
-    symmetry-group order; a remainder raises ExactnessError.
-    """
+    """Connected order-m diagrams up to (2m)!! relabelings: the walk's memoised D(1, m)."""
     _at_least(m, 0, "perturbation order")
-    return _exact_div(
-        _walk_counts(m)[m], double_factorial(2 * m), "connected count over (2m)!!"
-    )
+    return _walk_counts(m)[m]
+
+
+def _times_group(distinct) -> list[int]:
+    """Connected counts c(m) = (2m)!! * distinct(m), with (2m)!! as a running product."""
+    connected, group = [], 1
+    for m, value in enumerate(distinct):
+        connected.append(value * group)
+        group *= 2 * m + 2
+    return connected
 
 
 # Each route's builder of the connected counts c(0..M), by its `--method`
 # name, in the order the command line lists them.  An entry looks its route up
 # when called, so a route patched on this module is the one the table runs.
 _ROUTES = {
-    "walk": lambda m_max: _walk_counts(m_max)[: m_max + 1],
+    "walk": lambda m_max: _times_group(_walk_counts(m_max)[: m_max + 1]),
     "recurrence": lambda m_max: connected_sequence(m_max),
     "closed-form": lambda m_max: _closed_form_sequence(m_max),
-    "arques-walsh": lambda m_max: [
-        a * double_factorial(2 * m) for m, a in enumerate(_arques_walsh_sequence(m_max))
-    ],
+    "arques-walsh": lambda m_max: _times_group(_arques_walsh_sequence(m_max)),
 }
 _COUNT_METHODS = (*_ROUTES, "all")
 
@@ -320,7 +310,12 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
                 f"order {m}: "
                 + ", ".join(f"{name}={_render(column[m])}" for name, column in columns.items())
             )
-        distinct = _exact_div(value, group, f"connected count at order {m}")
+        distinct, remainder = divmod(value, group)
+        if remainder:
+            raise ExactnessError(
+                f"connected count at order {m}: {_render(value)}"
+                f" is not divisible by {_render(group)}"
+            )
         total = bubble * (2 * m + 1)
         rows.append(CountRow(m, total, bubble, value, distinct))
         bubble = total * (2 * m + 2)
@@ -376,7 +371,7 @@ def verify_convolution(m_max: int) -> VerificationReport:
     rows test it against the vacuum split of the (2m+1)! pairings.
     """
     _at_least(m_max, 1, "m_max")
-    connected = _walk_counts(m_max)
+    connected = _ROUTES["walk"](m_max)
     bubbles = [math.factorial(2 * n) for n in range(m_max + 1)]
     report = VerificationReport()
     for m in range(1, m_max + 1):
@@ -455,13 +450,14 @@ def verify_three_path(m_max: int) -> VerificationReport:
 
 
 def verify_divisibility(m_max: int) -> VerificationReport:
-    """Check that (2m)!! divides the walk's connected count for 1 <= m <= m_max.
+    """Check that (2m)!! divides the recurrence's connected count for 1 <= m <= m_max.
 
-    The walk counts pairings, so this is orbit-stabiliser on the pairing
-    model: every orbit of the relabeling group has (2m)!! members.
+    Every orbit of the relabeling group has (2m)!! members.  Route 1 builds
+    c(m) as m! times its scaled count, so m! divides it by construction but
+    2**m does not; on the walk's counts the rows would hold by construction.
     """
     _at_least(m_max, 1, "m_max")
-    connected = _walk_counts(m_max)
+    connected = connected_sequence(m_max)
     report = VerificationReport()
     for m in range(1, m_max + 1):
         remainder = connected[m] % double_factorial(2 * m)

@@ -163,10 +163,13 @@ def test_criterion_09_convolution_identity():
 
 
 def test_criterion_10_divisibility():
+    # the default route's counts are (2m)!! times its distinct counts, so on
+    # them this holds by construction; route 1's are m! times its scaled
+    # counts, so on them the factor 2**m is tested
     with _Timer() as t:
-        connected = _default_connected_column(30)
-        for m in range(1, 31):
-            quotient, remainder = divmod(connected[m], double_factorial(2 * m))
-            assert remainder == 0, f"m={m}"
-            assert quotient * double_factorial(2 * m) == connected[m]
-    _report(10, "(2m)!! divides the default route's count exactly for m <= 30", t.elapsed, 5)
+        for connected in (_default_connected_column(30), connected_sequence(30)):
+            for m in range(1, 31):
+                quotient, remainder = divmod(connected[m], double_factorial(2 * m))
+                assert remainder == 0, f"m={m}"
+                assert quotient * double_factorial(2 * m) == connected[m]
+    _report(10, "(2m)!! divides the default and route 1 counts exactly for m <= 30", t.elapsed, 5)

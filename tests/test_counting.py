@@ -123,22 +123,27 @@ def _vacuum_parts_by_state(m):
 
 
 @functools.cache
-def _distinct_by_state(r, u):
-    """D(r, u), the walk that enters each fresh vertex as the next label at
-    its unprimed point, a reference used only by these tests."""
+def _walks_by_state(r, u):
+    """W(r, u), the unscaled walk that may enter a fresh vertex at any of its
+    2u slots, a reference used only by these tests."""
     if u == 0:
         return math.factorial(r)
     if r == 0:
         return 0
-    return _distinct_by_state(r + 1, u - 1) + r * _distinct_by_state(r - 1, u)
+    return 2 * u * _walks_by_state(r + 1, u - 1) + r * _walks_by_state(r - 1, u)
 
 
 def _fresh_walk(m):
-    """The walk's counts c(0..m) and last diagonal, built from an empty memo."""
+    """The walk's distinct counts D(1, 0..m) and last diagonal, built from an empty memo."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_walk_memo", ([1], [1, 0]))
         counting._walk_counts(m)
         return counting._walk_memo
+
+
+def _pairings(distinct):
+    """(2m)!! * D(1, m) for each m, the connected counts the walk's memo stands for."""
+    return [value * _even_product(2 * m) for m, value in enumerate(distinct)]
 
 
 def _coefficient_by_multinomial(n, m):
@@ -311,23 +316,24 @@ def test_scaled_recurrence_matches_the_unscaled_one(m):
 def test_walk_states_give_the_oracle_vacuum_tally(m):
     parts = _vacuum_parts_by_state(m)
     assert parts == enumerate_matchings(m).vacuum_parts
-    assert parts[0] == counting._walk_counts(m)[m]
+    assert parts[0] == _even_product(2 * m) * counting._walk_counts(m)[m]
 
 
 def test_forward_and_backward_walks_agree_to_thirty():
     for m in range(31):
         parts = _vacuum_parts_by_state(m)
         assert sum(parts) == math.factorial(2 * m + 1)
-        assert parts[0] == counting._walk_counts(m)[m]
+        assert parts[0] == _even_product(2 * m) * counting._walk_counts(m)[m]
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=400))
 def test_walk_matches_the_other_routes_at_random_orders(m):
     values, _ = _fresh_walk(m)
-    assert values == connected_sequence(m)
+    connected = _pairings(values)
+    assert connected == connected_sequence(m)
     assert (
-        values[m]
+        connected[m]
         == connected_closed_form(m)
         == arques_walsh(m) * double_factorial(2 * m)
     )
@@ -336,13 +342,13 @@ def test_walk_matches_the_other_routes_at_random_orders(m):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=200))
 def test_walk_is_orbit_stabiliser_on_every_state(m):
-    # V(r, u) = W(r, u)/u! = 2**u D(r, u) on the last diagonal r + u = m + 1,
-    # (1, m) included, and the published count is W(1, m) = m! V(1, m)
+    # W(r, u) = 2**u u! D(r, u) on the last diagonal r + u = m + 1, (1, m)
+    # included, and the published distinct count is D(1, m)
     values, diagonal = _fresh_walk(m)
     assert len(diagonal) == m + 2
-    for u, walks in enumerate(diagonal):
-        assert walks == _distinct_by_state(m + 1 - u, u) << u
-    assert values[m] == math.factorial(m) * diagonal[m]
+    for u, distinct in enumerate(diagonal):
+        assert (distinct << u) * math.factorial(u) == _walks_by_state(m + 1 - u, u)
+    assert values[m] == diagonal[m]
 
 
 @settings(max_examples=50, deadline=None)
@@ -481,10 +487,27 @@ def test_verify_reports_reject_bad_range():
             fn(0)
 
 
-def test_exact_division_guard():
-    assert counting._exact_div(384 * 706, 384, "check") == 706
-    with pytest.raises(ExactnessError):
-        counting._exact_div(7, 2, "check")
+def _plant_at_five(monkeypatch, builder, at_five):
+    """Patch the module's `builder` so that its order-5 value becomes `at_five(value)`."""
+    route = getattr(counting, builder)
+
+    def planted(m_max):
+        values = route(m_max)
+        if m_max >= 5:
+            values[5] = at_five(values[5])
+        return values
+
+    monkeypatch.setattr(counting, builder, planted)
+
+
+def test_exact_division_guard(monkeypatch):
+    # `count_table` divides every route's column by (2m)!!, route 2's included
+    assert count_table(4, method="closed-form")[4].distinct == 271104 // 384 == 706
+    _plant_at_five(monkeypatch, "_closed_form_sequence", lambda count: count + 1)
+    with pytest.raises(
+        ExactnessError, match=r"^connected count at order 5: 31342081 is not divisible by 3840$"
+    ):
+        count_table(5, method="closed-form")
 
 
 def test_coefficient_refuses_a_negative_order_before_its_range():
@@ -520,9 +543,12 @@ def test_count_table_methods_agree():
 
 def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
     values, diagonal = _fresh_walk(5)
-    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 3840], diagonal))
+    # one distinct diagram too many, so (2m)!! = 3840 too many pairings
+    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 1], diagonal))
     with pytest.raises(MethodDisagreementError, match=r"order 5: walk=31345920, recurrence="):
         count_table(5, method="all")
+    failed = [c for c in verify_convolution(5).checks if not c.passed]
+    assert [c.params for c in failed] == ["m=5"]
 
 
 @pytest.mark.parametrize(
@@ -551,15 +577,7 @@ def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
     ids=["recurrence", "closed-form", "arques-walsh"],
 )
 def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, checks):
-    route = getattr(counting, builder)
-
-    def planted(m_max):
-        values = route(m_max)
-        if m_max >= 5:
-            values[5] += 1
-        return values
-
-    monkeypatch.setattr(counting, builder, planted)
+    _plant_at_five(monkeypatch, builder, lambda value: value + 1)
     with pytest.raises(
         MethodDisagreementError,
         match=rf"^order 5: walk=31342080, {columns}$",
@@ -570,27 +588,28 @@ def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, che
     assert [c.name for c in failed] == checks
 
 
-def test_distinct_count_is_an_exact_division_of_the_walk(monkeypatch):
-    values, diagonal = _fresh_walk(5)
+def test_distinct_count_is_an_exact_division_of_the_recurrence(monkeypatch):
     # off by one pairing: no longer a multiple of (2m)!! = 3840
-    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 1], diagonal))
+    _plant_at_five(monkeypatch, "connected_sequence", lambda count: count + 1)
     with pytest.raises(ExactnessError):
-        distinct_connected(5)
-    with pytest.raises(ExactnessError):
-        count_table(5)
+        count_table(5, method="recurrence")
     assert not verify_divisibility(5).overall
 
 
 def test_errors_render_counts_past_the_int_str_digit_limit(monkeypatch):
-    # a walk count of 5001 digits planted at order 5, under the default limit
-    values, diagonal = _fresh_walk(5)
-    monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [10**5000 + 1], diagonal))
+    # a route 1 count of 5001 digits planted at order 5, under the default limit
+    _plant_at_five(monkeypatch, "connected_sequence", lambda count: 10**5000 + 1)
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        with pytest.raises(ExactnessError, match=r": 10{4999}1 is not divisible by 3840$"):
-            distinct_connected(5)
-        with pytest.raises(MethodDisagreementError, match=r"order 5: walk=10{4999}1, rec"):
+        with pytest.raises(
+            ExactnessError,
+            match=r"^connected count at order 5: 10{4999}1 is not divisible by 3840$",
+        ):
+            count_table(5, method="recurrence")
+        with pytest.raises(
+            MethodDisagreementError, match=r"order 5: walk=31342080, recurrence=10{4999}1, "
+        ):
             count_table(5, method="all")
     finally:
         sys.set_int_max_str_digits(previous)
@@ -691,6 +710,6 @@ def test_walk_memo_grows_safely_under_threads(monkeypatch):
     # the memo holds exactly what one sweep from empty builds
     assert grown == _fresh_walk(40 + 3 * 31)
     fresh = connected_sequence(40 + 3 * 31)
-    assert grown[0] == fresh
+    assert _pairings(grown[0]) == fresh
     for k in range(32):
         assert distinct[k] * double_factorial(2 * (40 + 3 * k)) == fresh[40 + 3 * k]
