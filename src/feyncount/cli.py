@@ -51,17 +51,24 @@ def _count_cells(rows: list[counting.CountRow]) -> Iterator[list[str]]:
     The total and bubble columns are the factorials (2m+1)! and (2m)!, so
     they come from a running product in `decimal`, whose multiply by a small
     int and whose text are linear in the digits; `str(int)` is quadratic
-    before CPython 3.12.
+    before CPython 3.12.  The connected cell is derived from the distinct
+    cell's text: `count_table` makes connected (2m)!! times distinct in
+    every row, so it is that text as a `Decimal` times a running decimal
+    (2m)!!, which costs less than `str` of the larger integer.  Only the
+    distinct cell goes through `str(int)`.
     """
     # imported here so that processes printing no count table never load it
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
-    bubble = Decimal(1)  # (2m)!
+    bubble = group = Decimal(1)  # (2m)! and (2m)!!
     for r in rows:
         total = exact.multiply(bubble, 2 * r.m + 1)
-        yield [str(r.m), str(total), str(bubble), str(r.connected), str(r.distinct)]
+        distinct = str(r.distinct)
+        connected = exact.multiply(Decimal(distinct), group)
+        yield [str(r.m), str(total), str(bubble), str(connected), distinct]
         bubble = exact.multiply(total, 2 * r.m + 2)
+        group = exact.multiply(group, 2 * r.m + 2)
 
 
 def cmd_counts(args: argparse.Namespace) -> int:

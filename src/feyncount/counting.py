@@ -28,9 +28,12 @@ reading the closed form's series.
 The recurrence and the closed form both run on c(m)/m!, the connected
 count divided by m!: the binomials of the recurrence and the falling
 factorials of the closed form cancel, and the operands are about half the
-size; both multiply back by m!.  The walk runs on D(r, u) = W(r, u)/(2**u u!),
-where its 2u multiplier drops out and D(1, m) is the distinct count; it and
-the Arques-Walsh route multiply their distinct counts by (2m)!!.
+size; both multiply back by m!.  The walk runs on E(r, u) = W(r, u)/(r! 2**u u!):
+its 2u multiplier drops out, each operand is r! smaller than its state's
+distinct count D(r, u) = r! E(r, u), and E(1, m) = D(1, m) is the distinct
+count.  It and the Arques-Walsh route multiply their distinct counts by
+(2m)!!; `count_table` divides by (2m)!! only the connected counts of
+routes 1 and 2, where a remainder is possible.
 
 The walk's distinct counts are memoised once per process in a write-once
 memo, so a per-order query after the first is a lookup.  The other
@@ -68,7 +71,8 @@ class MethodDisagreementError(Exception):
 # copy under the lock and swaps the reference, so the memo, once published,
 # is never written again and a growth cut short leaves the old one intact.
 _grow_lock = threading.Lock()
-# The distinct counts D(1, 0..M) and the walk's last diagonal; see `_walk_counts`.
+# The distinct counts D(1, 0..M) and the walk's last diagonal, in the E scale
+# of `_walk_counts`.
 _walk_memo = ([1], [1, 0])
 
 
@@ -103,12 +107,17 @@ def _walk_counts(m: int) -> list[int]:
     (r-1, u).  So
     W(r, u) = 2u W(r+1, u-1) + r W(r-1, u), with W(r, 0) = r! and
     W(0, u) = 0 for u > 0, as the walk then closed X's component short
-    of some vertex; and c(m) = W(1, m).  The sweep runs on
-    D(r, u) = W(r, u)/(2**u u!), which enters each fresh vertex once, under
-    its next label at its unprimed point: D(r, u) = D(r+1, u-1) + r D(r-1, u),
-    D(r, 0) = r!, and D(1, m) = c(m)/(2m)!!, the distinct count.  It takes
-    one diagonal s = r + u at a time, kept as the list of D(s-u, u) by u.
-    The memo is returned, not a copy: callers must not change it.
+    of some vertex; and c(m) = W(1, m).  Its distinct counts
+    D(r, u) = W(r, u)/(2**u u!) enter each fresh vertex once, under its
+    next label at its unprimed point: D(r, u) = D(r+1, u-1) + r D(r-1, u),
+    D(r, 0) = r!, and D(1, m) = c(m)/(2m)!!, the distinct count.  Divided
+    through by r!, that recurrence has integer terms only, so the sweep
+    runs on the integers E(r, u) = D(r, u)/r!:
+    E(r, u) = (r+1) E(r+1, u-1) + E(r-1, u), E(r, 0) = 1 and E(0, u) = 0
+    for u > 0, and E(1, m) = D(1, m).  Each operand is r! smaller than in D.
+    It takes one diagonal s = r + u at a time, kept as the list of
+    E(s-u, u) by u.  The memo is returned, not a copy: callers must not
+    change it.
     """
     global _walk_memo
     values, _ = _walk_memo
@@ -119,10 +128,11 @@ def _walk_counts(m: int) -> list[int]:
         if m >= len(values):
             values, diagonal = list(values), list(diagonal)
             for s in range(len(values) + 1, m + 2):
-                # in place: diagonal[u] turns from D(s-1-u, u) into D(s-u, u)
-                walks = diagonal[0] = diagonal[0] * s
+                # in place: diagonal[u] turns from E(s-1-u, u) into E(s-u, u);
+                # diagonal[0] is E(s, 0) = 1 on every diagonal
+                walks = 1
                 for u in range(1, s):
-                    walks += (s - u) * diagonal[u]
+                    walks = (s - u + 1) * walks + diagonal[u]
                     diagonal[u] = walks
                 diagonal.append(0)
                 values.append(walks)
@@ -263,22 +273,39 @@ def distinct_connected(m: int) -> int:
     return _walk_counts(m)[m]
 
 
-def _times_group(distinct) -> list[int]:
-    """Connected counts c(m) = (2m)!! * distinct(m), with (2m)!! as a running product."""
+def _times_group(distinct) -> tuple[list[int], list[int]]:
+    """Columns (c, distinct), c(m) = (2m)!! * distinct(m) with (2m)!! a running product."""
     connected, group = [], 1
     for m, value in enumerate(distinct):
         connected.append(value * group)
         group *= 2 * m + 2
-    return connected
+    return connected, distinct
 
 
-# Each route's builder of the connected counts c(0..M), by its `--method`
-# name, in the order the command line lists them.  An entry looks its route up
-# when called, so a route patched on this module is the one the table runs.
+def _divided_by_group(connected) -> list[int]:
+    """Distinct counts c(m)/(2m)!!, exact divisions; a remainder raises ExactnessError."""
+    distinct, group = [], 1
+    for m, value in enumerate(connected):
+        quotient, remainder = divmod(value, group)
+        if remainder:
+            raise ExactnessError(
+                f"connected count at order {m}: {_render(value)}"
+                f" is not divisible by {_render(group)}"
+            )
+        distinct.append(quotient)
+        group *= 2 * m + 2
+    return distinct
+
+
+# Each route's builder of its columns (c, distinct) for orders 0..M, by its
+# `--method` name, in the order the command line lists them.  Routes 1 and 2
+# build connected counts only, so their distinct column is None.  An entry
+# looks its route up when called, so a route patched on this module is the
+# one the table runs.
 _ROUTES = {
     "walk": lambda m_max: _times_group(_walk_counts(m_max)[: m_max + 1]),
-    "recurrence": lambda m_max: connected_sequence(m_max),
-    "closed-form": lambda m_max: _closed_form_sequence(m_max),
+    "recurrence": lambda m_max: (connected_sequence(m_max), None),
+    "closed-form": lambda m_max: (_closed_form_sequence(m_max), None),
     "arques-walsh": lambda m_max: _times_group(_arques_walsh_sequence(m_max)),
 }
 _COUNT_METHODS = (*_ROUTES, "all")
@@ -293,33 +320,35 @@ class CountRow(namedtuple("CountRow", "m total bubble connected distinct")):
 def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
     """Rows (m, total, bubble, connected, distinct) for 0 <= m <= max_order.
 
-    `method` is the `--method` name of the route to the connected column,
-    or "all", which computes every route, keeps the first one's column,
-    and raises MethodDisagreementError on any mismatch.
+    `method` is the `--method` name of the route to the counts, or "all",
+    which computes every route, keeps the first one's columns, and raises
+    MethodDisagreementError on any connected count that differs.  Both
+    columns of a row come from one call of the route, and connected is
+    (2m)!! times distinct in every row.  The walk and Arques-Walsh build
+    distinct counts and multiply them by (2m)!!, so their columns are
+    taken as built.  Routes 1 and 2 build connected counts only, and their
+    distinct column is the exact division by (2m)!!, which raises
+    ExactnessError where it leaves a remainder.
     """
     _at_least(max_order, 0, "perturbation order")
     if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method: {method!r}")
     names = list(_ROUTES) if method == "all" else [method]
-    columns = {name: _ROUTES[name](max_order) for name in names}
+    built = {name: _ROUTES[name](max_order) for name in names}
+    connected, distinct = built[names[0]]
+    if distinct is None:
+        distinct = _divided_by_group(connected)
     rows = []
-    bubble, group = 1, 1  # (2m)!, and (2m)!! the relabelling group's order
-    for m, value in enumerate(columns[names[0]]):
-        if any(column[m] != value for column in columns.values()):
+    bubble = 1  # (2m)!
+    for m, (value, orbits) in enumerate(zip(connected, distinct)):
+        if any(column[m] != value for column, _ in built.values()):
             raise MethodDisagreementError(
                 f"order {m}: "
-                + ", ".join(f"{name}={_render(column[m])}" for name, column in columns.items())
-            )
-        distinct, remainder = divmod(value, group)
-        if remainder:
-            raise ExactnessError(
-                f"connected count at order {m}: {_render(value)}"
-                f" is not divisible by {_render(group)}"
+                + ", ".join(f"{name}={_render(column[m])}" for name, (column, _) in built.items())
             )
         total = bubble * (2 * m + 1)
-        rows.append(CountRow(m, total, bubble, value, distinct))
+        rows.append(CountRow(m, total, bubble, value, orbits))
         bubble = total * (2 * m + 2)
-        group *= 2 * m + 2
     return rows
 
 
@@ -371,7 +400,7 @@ def verify_convolution(m_max: int) -> VerificationReport:
     rows test it against the vacuum split of the (2m+1)! pairings.
     """
     _at_least(m_max, 1, "m_max")
-    connected = _ROUTES["walk"](m_max)
+    connected, _ = _ROUTES["walk"](m_max)
     bubbles = [math.factorial(2 * n) for n in range(m_max + 1)]
     report = VerificationReport()
     for m in range(1, m_max + 1):
@@ -440,8 +469,8 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
 def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
     _at_least(m_max, 1, "m_max")
-    connected = _ROUTES["recurrence"](m_max)
-    columns = {name: _ROUTES[name](m_max) for name in ("closed-form", "arques-walsh")}
+    connected, _ = _ROUTES["recurrence"](m_max)
+    columns = {name: _ROUTES[name](m_max)[0] for name in ("closed-form", "arques-walsh")}
     report = VerificationReport()
     for m in range(1, m_max + 1):
         for name, column in columns.items():

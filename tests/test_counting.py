@@ -342,12 +342,15 @@ def test_walk_matches_the_other_routes_at_random_orders(m):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=200))
 def test_walk_is_orbit_stabiliser_on_every_state(m):
-    # W(r, u) = 2**u u! D(r, u) on the last diagonal r + u = m + 1, (1, m)
-    # included, and the published distinct count is D(1, m)
+    # W(r, u) = r! 2**u u! E(r, u) on the last diagonal r + u = m + 1, (1, m)
+    # included, and the published distinct count is E(1, m) = D(1, m)
     values, diagonal = _fresh_walk(m)
     assert len(diagonal) == m + 2
-    for u, distinct in enumerate(diagonal):
-        assert (distinct << u) * math.factorial(u) == _walks_by_state(m + 1 - u, u)
+    # the boundary rows E(r, 0) = 1 and E(0, u) = 0
+    assert (diagonal[0], diagonal[m + 1]) == (1, 0)
+    for u, scaled in enumerate(diagonal):
+        r = m + 1 - u
+        assert (scaled << u) * math.factorial(r) * math.factorial(u) == _walks_by_state(r, u)
     assert values[m] == diagonal[m]
 
 
@@ -536,9 +539,13 @@ def test_count_table_rows(max_order):
 
 
 def test_count_table_methods_agree():
-    for method in ("walk", "recurrence", "closed-form", "arques-walsh", "all"):
-        rows = count_table(6, method=method)
-        assert [r.connected for r in rows] == connected_sequence(6)
+    # both columns of every route: connected = (2m)!! * distinct in each row,
+    # whether the route divides or multiplies, and every row is the walk's
+    walk = count_table(60)
+    assert [r.connected for r in walk] == connected_sequence(60)
+    assert all(r.connected == _even_product(2 * r.m) * r.distinct for r in walk)
+    for method in ("recurrence", "closed-form", "arques-walsh", "all"):
+        assert count_table(60, method=method) == walk, method
 
 
 def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
@@ -586,6 +593,14 @@ def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, che
     failed = [c for c in verify_three_path(5).checks if not c.passed]
     assert [c.params for c in failed] == ["m=5"] * len(checks)
     assert [c.name for c in failed] == checks
+
+
+def test_a_fault_in_arques_walsh_shows_in_both_of_its_columns(monkeypatch):
+    # route 3 builds the distinct count, so its one extra diagram at order 5
+    # is (2m)!! = 3840 extra pairings, not an inexact division
+    _plant_at_five(monkeypatch, "_arques_walsh_sequence", lambda value: value + 1)
+    rows = count_table(5, method="arques-walsh")
+    assert [(r.connected, r.distinct) for r in rows[4:]] == [(271104, 706), (31345920, 8163)]
 
 
 def test_distinct_count_is_an_exact_division_of_the_recurrence(monkeypatch):
