@@ -163,7 +163,7 @@ def _write_dot_files(census: oracle.OrbitCensus, out_dir: str) -> int:
     os.makedirs(out_dir or os.curdir, exist_ok=True)  # "" names the working directory
     for index, diagram in enumerate(census.representatives, start=1):
         name = f"diagram_m{census.order}_{index}.dot"
-        with open(os.path.join(out_dir, name), "w") as out:
+        with open(os.path.join(out_dir, name), "w", encoding="ascii") as out:
             out.write(oracle.export_diagram(diagram))
     return len(census.representatives)
 

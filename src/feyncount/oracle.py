@@ -26,10 +26,13 @@ order rather than reading them one by one, so a prefix that pairings
 share is walked once, with its queue length, labels and canonical
 prefix carried down the tree.  A prefix with nothing left to reach is
 tallied in the loop that built it, completion by completion, without a
-further call.  The walk tallies every pairing by vacuum size and counts
-the orbit minimum of each connected pairing with p[0] == 1; since the
-symmetry group moves p[0] transitively over 1..2m, one in 2m of every
-orbit's members lies in that shard.
+further call.  So is a prefix that one more contraction decides: when
+the next queued slot is the last in the queue and one vertex is left,
+each completion is still generated, and where it sends that slot says
+whether it cuts the vertex off or connects it.  The walk tallies every
+pairing by vacuum size and counts the orbit minimum of each connected
+pairing with p[0] == 1; since the symmetry group moves p[0] transitively
+over 1..2m, one in 2m of every orbit's members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
@@ -99,20 +102,34 @@ class OrbitCensus(
     __slots__ = ()
 
 
+def _pairings(m: int) -> str:
+    """(2m+1)!, the number of pairings at order m, as a refusal states it.
+
+    The digits are given up to order 778, while they fit CPython's default
+    4300-digit int -> str limit.  Above that the factorial is never built:
+    at order 10^5 that took seconds, and past order 2^62 it cannot be.
+    """
+    n = 2 * m + 1
+    # n! > 10^n from n = 25 on, so n! > 10^4300 for every n past 4300
+    if n <= 4300 and (pairings := math.factorial(n)) < 10**4300:
+        return f"(2m+1)! = {pairings}"
+    return "(2m+1)! > 10^4300"
+
+
 def _check_cap(m: int, override: bool, keyword: str = "override=True") -> None:
     """Refuse an order above the caps; `keyword` names the way to override."""
     _at_least(m, 1, "order")
     if m <= DEFAULT_ORDER_CAP:
         return
-    pairings = math.factorial(2 * m + 1)
+    pairings = _pairings(m)
     if m > OVERRIDE_ORDER_CAP:
         raise OrderCapError(
-            f"order {m} means enumerating (2m+1)! = {pairings} pairings; "
+            f"order {m} means enumerating {pairings} pairings; "
             f"the hard cap is {OVERRIDE_ORDER_CAP}"
         )
     if not override:
         raise OrderCapError(
-            f"order {m} means enumerating (2m+1)! = {pairings} pairings; "
+            f"order {m} means enumerating {pairings} pairings; "
             f"pass {keyword} to proceed up to order {OVERRIDE_ORDER_CAP}"
         )
 
@@ -217,17 +234,26 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
     and its orbit minimum is the prefix followed by the labels in the
     order taken.  The loop that makes the last contraction of such a
     prefix tallies it on the spot, one completion, a permutation of the
-    free creation slots, at a time.
+    free creation slots, at a time.  So does the loop that makes the
+    contraction one short of that, after which the next queued slot is the
+    last in the queue and one vertex is left unreached: three creation
+    slots are free, the last vertex's two and one numbered slot, and where
+    each completion sends that next slot decides it.  Sent to the numbered
+    slot, it closes the queue and cuts the last vertex off; sent to either
+    slot of the vertex, it numbers that slot n - 2 and connects the
+    pairing.
 
-    Given `shard`, each connected pairing with p[0] == 1 adds 1 to its
-    orbit minimum there.
+    Given an empty `shard`, each connected pairing with p[0] == 1 adds 1
+    to its orbit minimum there, and reaches the connected tally through
+    the shard's total rather than one by one.
     """
     n = 2 * m + 1
     parts = [0] * (m + 1)
     partner = [0] + [c + 1 if c & 1 else c - 1 for c in range(1, n)]
     free = list(range(n))  # creation slots not yet contracted, ascending
     label = [0] + [-1] * (n - 1)  # new number of each numbered slot
-    prefix: list[int] = []
+    prefix = [0] * n  # the i-th contraction's new number, up to the current i
+    permutations = itertools.permutations
 
     def extend(i: int, queued: int) -> None:
         for j in range(len(free)):
@@ -236,25 +262,41 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
             if label[c] < 0:
                 label[c], label[partner[c]] = queued, queued + 1
                 reached += 2
-            prefix.append(label[c])
-            if i + 1 < reached < n:
-                extend(i + 1, reached)
+            prefix[i] = label[c]
             # slot 1 is numbered 1 exactly when p[0] == 1
-            elif reached == n and shard is not None and label[1] == 1:
-                head = tuple(prefix)
-                for tail in itertools.permutations([label[d] for d in free]):
-                    parts[0] += 1
-                    shard[head + tail] += 1
+            recording = shard is not None and label[1] == 1
+            if reached == i + 2 == n - 2:
+                # the next queued slot is the last, and one vertex is left:
+                # it takes the one numbered free slot, cutting that vertex
+                # off, or reaches the vertex, which is numbered n - 2
+                if recording:
+                    # the last vertex's slots read -1 % n == n - 1: the one
+                    # reached is numbered n - 2, and its partner n - 1
+                    head = (*prefix[: i + 1], n - 2)
+                    for tail in permutations([label[d] % n for d in free]):
+                        if tail[0] == n - 1:
+                            shard[head + tail[1:]] += 1
+                        else:
+                            parts[1] += 1
+                else:
+                    for tail in permutations(free):
+                        parts[label[tail[0]] >= 0] += 1  # vacuum size 1 or 0
+            elif i + 1 < reached < n:
+                extend(i + 1, reached)
+            elif reached == n and recording:
+                head = tuple(prefix[: i + 1])
+                shard.update(map(head.__add__, permutations([label[d] for d in free])))
             else:
                 vacuum = (n - reached) // 2
-                for _ in itertools.permutations(free):
+                for _ in permutations(free):
                     parts[vacuum] += 1
-            prefix.pop()
             if reached > queued:
                 label[c] = label[partner[c]] = -1
             free.insert(j, c)
 
     extend(0, 1)
+    if shard is not None:
+        parts[0] += shard.total()
     return parts
 
 
@@ -292,8 +334,8 @@ def orbit_census(m: int) -> OrbitCensus:
     _at_least(m, 1, "order")
     if m > DEFAULT_ORDER_CAP:
         raise OrderCapError(
-            f"orbit census at order {m} would classify (2m+1)! = "
-            f"{math.factorial(2 * m + 1)} pairings; the census cap is {DEFAULT_ORDER_CAP}"
+            f"orbit census at order {m} would classify {_pairings(m)} pairings; "
+            f"the census cap is {DEFAULT_ORDER_CAP}"
         )
     shard: Counter[tuple[int, ...]] = Counter()
     parts = _walk_pairings(m, shard=shard)

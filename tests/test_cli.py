@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -270,6 +272,17 @@ def test_verify_rejects_order_zero(capsys):
             "orbit census at order 5 would classify (2m+1)! = 39916800 pairings; "
             "the census cap is 4",
         ),
+        # the first order whose (2m+1)! passes CPython's default 4300
+        # digits, and one past math.factorial's reach
+        (
+            "oracle --order 779",
+            "order 779 means enumerating (2m+1)! > 10^4300 pairings; the hard cap is 5",
+        ),
+        (
+            f"export --order {10**19} --out-dir D",
+            f"orbit census at order {10**19} would classify (2m+1)! > 10^4300 pairings; "
+            "the census cap is 4",
+        ),
     ],
 )
 def test_refusals_exit_2_with_one_exact_line(capsys, tmp_path, argv, line):
@@ -321,6 +334,27 @@ def test_oracle_refuses_order_six_with_cost(capsys):
     assert code == 2
     assert out == ""
     assert "6227020800" in err
+
+
+def test_refusals_give_every_digit_of_the_cost_while_it_fits_the_limit(
+    default_digit_limit,
+):
+    # under the default limit, str() of (2m+1)! raises from order 779 on
+    assert len(str(math.factorial(1557))) <= default_digit_limit
+    assert oracle._pairings(778) == f"(2m+1)! = {math.factorial(1557)}"
+    assert oracle._pairings(779) == "(2m+1)! > 10^4300"
+
+
+def test_a_huge_order_is_refused_at_once():
+    # built and printed in full, (2m+1)! took seconds at order 10^5
+    start = time.perf_counter()
+    process = spawn("oracle", "--order", "1000000")
+    out, err = process.communicate(timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (process.returncode, out, err) == (
+        2, "", "error: order 1000000 means enumerating (2m+1)! > 10^4300 pairings; "
+        "the hard cap is 5\n",
+    )
 
 
 def test_oracle_requires_override_above_cap(capsys):

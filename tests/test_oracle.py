@@ -271,6 +271,26 @@ def test_walk_matches_the_reference_stream_shard_by_shard(m):
     assert shard == forms
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_walk_generates_every_pairing_one_by_one(monkeypatch, m):
+    # every completion the walk tallies comes out of itertools.permutations,
+    # with and without the shard, so a factorial or a memo by state in place
+    # of a loop over completions yields fewer than (2m+1)! tuples
+    generated = []
+    permutations = itertools.permutations
+
+    def counted(*args):
+        for tail in permutations(*args):
+            generated.append(None)
+            yield tail
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    for args in ((), (Counter(),)):
+        generated.clear()
+        oracle._walk_pairings(m, *args)
+        assert len(generated) == math.factorial(2 * m + 1)
+
+
 def test_census_representatives_are_canonical():
     for m in (1, 2, 3):
         for diagram in orbit_census(m).representatives:
