@@ -12,13 +12,7 @@ Run: python3 demos/sequence_table.py [max_order]
 
 import sys
 
-from feyncount import (
-    arques_walsh,
-    connected_closed_form,
-    connected_sequence,
-    count_table,
-    double_factorial,
-)
+from feyncount import count_table
 
 
 def main():
@@ -35,14 +29,16 @@ def main():
     print("\nThe distinct column is the Arques-Walsh sequence: 2, 10, 74, 706, ...")
     print("Cross-checking the connected column through the other three routes:\n")
 
-    recurrence = connected_sequence(max_order)
+    # one build per route; Arques-Walsh's connected column is (2m)!! times its distinct counts
+    recurrence, closed, walsh = (
+        [row.connected for row in count_table(max_order, method=method)]
+        for method in ("recurrence", "closed-form", "arques-walsh")
+    )
     for r in rows[1:]:
         m = r.m
-        closed = connected_closed_form(m)
-        walsh = arques_walsh(m) * double_factorial(2 * m)
-        status = "agree" if r.connected == recurrence[m] == closed == walsh else "DISAGREE"
-        print(f"  m={m:>2}: recurrence={recurrence[m]}  closed-form={closed}  "
-              f"(2m)!!*arques-walsh={walsh}  -> {status}")
+        status = "agree" if r.connected == recurrence[m] == closed[m] == walsh[m] else "DISAGREE"
+        print(f"  m={m:>2}: recurrence={recurrence[m]}  closed-form={closed[m]}  "
+              f"(2m)!!*arques-walsh={walsh[m]}  -> {status}")
         assert status == "agree"
 
     print("\nAll four routes produced identical exact values.")

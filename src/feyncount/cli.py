@@ -18,9 +18,9 @@ from . import counting, oracle
 from .compositions import _Refusal, _at_least, count_compositions, enumerate_compositions
 from .counting import ExactnessError, MethodDisagreementError, VerificationReport
 
-# Verify runs the coefficient-recursion suite no further than this order.  Its
-# weights sum over the p(m) partitions per order, not 2**m compositions, so
-# order 30 would take about a second, but each order above the cap adds rows.
+# Verify runs the coefficient-recursion suite no further than this order, which
+# bounds its m(m+1)/2 rows.  Its sums run over the p(m) partitions per order, not
+# 2**m compositions: the suite took 0.13 s at order 30 and 1.1 s at 40 (Python 3.11).
 _COEFFICIENT_SUITE_CAP = 20
 # verify's composition rows stream all 2**(n-1) compositions of each n: 65,535 up to n = 16
 _COMPOSITION_SUITE_CAP = 16

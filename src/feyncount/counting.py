@@ -394,19 +394,19 @@ class VerificationReport:
 def verify_convolution(m_max: int) -> VerificationReport:
     """Check (2m+1)! = sum_n binom(m,n) (2n)! * connected(m-n) for 1 <= m <= m_max.
 
-    The connected counts are the walk's.  The recurrence inverts this
-    identity, so checked against it the rows would hold by construction;
-    the walk derives its counts from the pairing model instead, so these
-    rows test it against the vacuum split of the (2m+1)! pairings.
+    The connected counts are the walk's, derived from the pairing model, so
+    the rows test it against the vacuum split of the (2m+1)! pairings; the
+    recurrence inverts this identity and would pass by construction.  Over
+    2**m m!, with c(k) = 2**k k! D(k), the split is the paper's (2m+1)!! =
+    sum_n (2n-1)!! D(m-n) on the walk's distinct counts D.  Each row sums
+    that and multiplies it back, the binomial sum's integer for any D.
     """
     _at_least(m_max, 1, "m_max")
-    connected, _ = _ROUTES["walk"](m_max)
-    bubbles = [math.factorial(2 * n) for n in range(m_max + 1)]
+    distinct, odd = _walk_counts(m_max), [1]  # odd[n] = (2n-1)!!
     report = VerificationReport()
     for m in range(1, m_max + 1):
-        rebuilt = sum(
-            math.comb(m, n) * bubbles[n] * connected[m - n] for n in range(m + 1)
-        )
+        odd.append(odd[-1] * (2 * m - 1))
+        rebuilt = double_factorial(2 * m) * sum(odd[n] * distinct[m - n] for n in range(m + 1))
         report.add("convolution", f"m={m}", math.factorial(2 * m + 1), rebuilt)
     return report
 
@@ -416,25 +416,25 @@ def verify_coefficient_recursion(m_max: int) -> VerificationReport:
 
     The direct evaluation of the weight at (s, m+1) must equal
     -sum_{n=s}^{m} binom(m+1, m-n+1) * (2(m-n+1))! * weight(s, n).
-    Failing pairs are reported, not raised.
+    As weight(s, n) = n!/s! S(n-s), S the classificatory sum, both sides are
+    (m+1)!/s! times a value of j = m+1-s alone: S(j), and -sum_{k=1..j}
+    (2k)!/k! S(j-k).  Each is taken once per j and multiplied back per row,
+    which gives the unscaled sides' integers for any S, so a failing pair
+    reads the same.  Failing pairs are reported, not raised.
     """
     _at_least(m_max, 1, "m_max")
-    # each weight either side reads is evaluated directly, as `coefficient`
-    # does, with each classificatory sum taken once per n - s
-    sums = [_classificatory_sum(k) for k in range(m_max + 1)]
-    weight = {
-        (s, n): math.perm(n, n - s) * sums[n - s]
-        for s in range(1, m_max + 1)
-        for n in range(s, m_max + 2)
-    }
+    # (2k)!/k! from math.perm, not from the kernel the classificatory sum steps
+    sums = [_classificatory_sum(j) for j in range(m_max + 1)]
+    recursed = [
+        -sum(math.perm(2 * k, k) * sums[j - k] for k in range(1, j + 1)) for j in range(m_max + 1)
+    ]
     report = VerificationReport()
     for m in range(1, m_max + 1):
-        for s in range(1, m + 1):
-            recursed = -sum(
-                math.comb(m + 1, m - n + 1) * math.factorial(2 * (m - n + 1)) * weight[s, n]
-                for n in range(s, m + 1)
+        for s, j in zip(range(1, m + 1), range(m, 0, -1)):
+            scale = math.perm(m + 1, j)  # (m+1)!/s!
+            report.add(
+                "coefficient-recursion", f"s={s} m={m}", scale * sums[j], scale * recursed[j]
             )
-            report.add("coefficient-recursion", f"s={s} m={m}", weight[s, m + 1], recursed)
     return report
 
 

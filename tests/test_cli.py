@@ -36,6 +36,9 @@ VERIFY_20_TABLE_SHA256 = "9860e8f7cf71b524fe9ad25344a5b0846b85df8ff2821ef25d5d20
 # sha256 of `verify --max-order 100 --format json` stdout (862 checks) as the
 # shared factorial table fed the convolution, rewrite and three-path rows
 VERIFY_100_SHA256 = "43b1e1df9e99bdd7a9a25e44bc08be2b0dfa1a50e2b7d4dd6f37341f1a89d378"
+# sha256 of `verify --max-order 300 --format json` stdout as the binomial
+# convolution and the weight-table coefficient recursion printed it
+VERIFY_300_SHA256 = "d939cdfe33a2ab485d71e43c6c614566427aca50029ab6c46cffffb1720602fd"
 # sha256 of `oracle --order 4` stdout by format, as csv.writer wrote the csv;
 # the json digest is the one the benchmark pins for its oracle-census workload
 ORACLE_4_SHA256 = {
@@ -226,6 +229,13 @@ def test_verify_stdout_is_pinned_above_the_coefficient_suite_cap(capsys):
     assert code == 0
     assert err == "note: coefficient-recursion suite capped at order 20\n"
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_100_SHA256
+
+
+def test_verify_stdout_is_pinned_at_order_300(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "300", "--format", "json")
+    assert code == 0
+    assert err == "note: coefficient-recursion suite capped at order 20\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_300_SHA256
 
 
 def test_verify_caps_only_the_coefficient_suite(capsys, monkeypatch):

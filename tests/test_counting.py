@@ -170,6 +170,39 @@ def _closed_form_by_coefficients(m):
     )
 
 
+def _convolution_by_binomials(m_max):
+    """`verify_convolution` as sum_n binom(m, n) (2n)! c(m-n) on the walk's
+    connected counts c(m) = (2m)!! D(1, m), a reference used only by these tests."""
+    connected = _pairings(counting._walk_counts(m_max)[: m_max + 1])
+    report = counting.VerificationReport()
+    for m in range(1, m_max + 1):
+        rebuilt = sum(
+            math.comb(m, n) * math.factorial(2 * n) * connected[m - n] for n in range(m + 1)
+        )
+        report.add("convolution", f"m={m}", math.factorial(2 * m + 1), rebuilt)
+    return report
+
+
+def _coefficient_recursion_by_weights(m_max):
+    """`verify_coefficient_recursion` over a table of weights n!/s! S(n-s) and
+    binomial-factorial terms, a reference used only by these tests."""
+    sums = [counting._classificatory_sum(k) for k in range(m_max + 1)]
+    weight = {
+        (s, n): math.perm(n, n - s) * sums[n - s]
+        for s in range(1, m_max + 1)
+        for n in range(s, m_max + 2)
+    }
+    report = counting.VerificationReport()
+    for m in range(1, m_max + 1):
+        for s in range(1, m + 1):
+            recursed = -sum(
+                math.comb(m + 1, m - n + 1) * math.factorial(2 * (m - n + 1)) * weight[s, n]
+                for n in range(s, m + 1)
+            )
+            report.add("coefficient-recursion", f"s={s} m={m}", weight[s, m + 1], recursed)
+    return report
+
+
 @pytest.mark.parametrize("m,expected", [(0, 1), (1, 6), (4, 362880)])
 def test_total_diagrams(m, expected):
     assert total_diagrams(m) == expected
@@ -425,6 +458,38 @@ def test_coefficient_recursion_minimal():
     report = verify_coefficient_recursion(1)
     assert report.overall
     assert len(report.checks) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda m_max: st.tuples(st.just(m_max), st.integers(min_value=0, max_value=m_max))
+    ),
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda m_max: st.tuples(st.just(m_max), st.integers(min_value=0, max_value=m_max))
+    ),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_suites_report_the_unscaled_rows_around_a_planted_fault(convolution, recursion, delta):
+    # every row, passing or failing, must read as the binomial and weight-table
+    # forms print it, whatever scale the suites sum on
+    values, diagonal = _fresh_walk(40)
+    classificatory = counting._classificatory_sum
+    with pytest.MonkeyPatch.context() as mp:
+        m_max, order = convolution
+        planted = values[:order] + [values[order] + delta] + values[order + 1 :]
+        mp.setattr(counting, "_walk_memo", (planted, diagonal))
+        report = verify_convolution(m_max)
+        assert report.checks == _convolution_by_binomials(m_max).checks
+        assert report.overall == (delta == 0)
+
+        m_max, order = recursion
+        mp.setattr(
+            counting, "_classificatory_sum", lambda k: classificatory(k) + delta * (k == order)
+        )
+        report = verify_coefficient_recursion(m_max)
+        assert report.checks == _coefficient_recursion_by_weights(m_max).checks
+        assert report.overall == (delta == 0)
 
 
 def test_fresh_reports_share_no_checks_list():
