@@ -31,9 +31,9 @@ factorials of the closed form cancel, and the operands are about half the
 size; both multiply back by m!.  The walk runs on E(r, u) = W(r, u)/(r! 2**u u!):
 its 2u multiplier drops out, each operand is r! smaller than its state's
 distinct count D(r, u) = r! E(r, u), and E(1, m) = D(1, m) is the distinct
-count.  It and the Arques-Walsh route multiply their distinct counts by
-(2m)!!; `count_table` divides by (2m)!! only the connected counts of
-routes 1 and 2, where a remainder is possible.
+count.  It and the Arques-Walsh route return distinct counts, routes 1
+and 2 connected counts; `count_table` multiplies the former by (2m)!! and
+divides the latter by it, where a remainder is possible, in one loop.
 
 The walk's distinct counts are memoised once per process in a write-once
 memo, so a per-order query after the first is a lookup.  The other
@@ -273,41 +273,18 @@ def distinct_connected(m: int) -> int:
     return _walk_counts(m)[m]
 
 
-def _times_group(distinct) -> tuple[list[int], list[int]]:
-    """Columns (c, distinct), c(m) = (2m)!! * distinct(m) with (2m)!! a running product."""
-    connected, group = [], 1
-    for m, value in enumerate(distinct):
-        connected.append(value * group)
-        group *= 2 * m + 2
-    return connected, distinct
-
-
-def _divided_by_group(connected) -> list[int]:
-    """Distinct counts c(m)/(2m)!!, exact divisions; a remainder raises ExactnessError."""
-    distinct, group = [], 1
-    for m, value in enumerate(connected):
-        quotient, remainder = divmod(value, group)
-        if remainder:
-            raise ExactnessError(
-                f"connected count at order {m}: {_render(value)}"
-                f" is not divisible by {_render(group)}"
-            )
-        distinct.append(quotient)
-        group *= 2 * m + 2
-    return distinct
-
-
-# Each route's builder of its columns (c, distinct) for orders 0..M, by its
-# `--method` name, in the order the command line lists them.  Routes 1 and 2
-# build connected counts only, so their distinct column is None.  An entry
-# looks its route up when called, so a route patched on this module is the
-# one the table runs.
+# Each route's builder for orders 0..M, by its `--method` name, in the order
+# the command line lists them.  Each returns the one column it builds: the
+# routes in `_DISTINCT_ROUTES` distinct counts, routes 1 and 2 connected
+# counts.  An entry looks its route up when called, so a route patched on
+# this module is the one the table runs.
 _ROUTES = {
-    "walk": lambda m_max: _times_group(_walk_counts(m_max)[: m_max + 1]),
-    "recurrence": lambda m_max: (connected_sequence(m_max), None),
-    "closed-form": lambda m_max: (_closed_form_sequence(m_max), None),
-    "arques-walsh": lambda m_max: _times_group(_arques_walsh_sequence(m_max)),
+    "walk": lambda m_max: _walk_counts(m_max),
+    "recurrence": lambda m_max: connected_sequence(m_max),
+    "closed-form": lambda m_max: _closed_form_sequence(m_max),
+    "arques-walsh": lambda m_max: _arques_walsh_sequence(m_max),
 }
+_DISTINCT_ROUTES = ("walk", "arques-walsh")
 _COUNT_METHODS = (*_ROUTES, "all")
 
 
@@ -322,12 +299,11 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
 
     `method` is the `--method` name of the route to the counts, or "all",
     which computes every route, keeps the first one's columns, and raises
-    MethodDisagreementError on any connected count that differs.  Both
-    columns of a row come from one call of the route, and connected is
-    (2m)!! times distinct in every row.  The walk and Arques-Walsh build
-    distinct counts and multiply them by (2m)!!, so their columns are
-    taken as built.  Routes 1 and 2 build connected counts only, and their
-    distinct column is the exact division by (2m)!!, which raises
+    MethodDisagreementError on any connected count that differs.  Each
+    route is built once, and one loop over the orders puts its column on
+    both scales with a running (2m)!!: a distinct count times (2m)!! is the
+    connected count, and a connected count of route 1 or 2 divided by
+    (2m)!! is the distinct count, an exact division that raises
     ExactnessError where it leaves a remainder.
     """
     _at_least(max_order, 0, "perturbation order")
@@ -335,20 +311,32 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
         raise _Refusal(f"unknown method: {method!r}")
     names = list(_ROUTES) if method == "all" else [method]
     built = {name: _ROUTES[name](max_order) for name in names}
-    connected, distinct = built[names[0]]
-    if distinct is None:
-        distinct = _divided_by_group(connected)
     rows = []
-    bubble = 1  # (2m)!
-    for m, (value, orbits) in enumerate(zip(connected, distinct)):
-        if any(column[m] != value for column, _ in built.values()):
+    bubble = group = 1  # (2m)! and (2m)!!
+    for m in range(max_order + 1):
+        connected = {
+            name: column[m] * group if name in _DISTINCT_ROUTES else column[m]
+            for name, column in built.items()
+        }
+        value = connected[names[0]]
+        if any(other != value for other in connected.values()):
             raise MethodDisagreementError(
                 f"order {m}: "
-                + ", ".join(f"{name}={_render(column[m])}" for name, (column, _) in built.items())
+                + ", ".join(f"{name}={_render(other)}" for name, other in connected.items())
             )
+        if names[0] in _DISTINCT_ROUTES:
+            distinct = built[names[0]][m]
+        else:
+            distinct, remainder = divmod(value, group)
+            if remainder:
+                raise ExactnessError(
+                    f"connected count at order {m}: {_render(value)}"
+                    f" is not divisible by {_render(group)}"
+                )
         total = bubble * (2 * m + 1)
-        rows.append(CountRow(m, total, bubble, value, orbits))
+        rows.append(CountRow(m, total, bubble, value, distinct))
         bubble = total * (2 * m + 2)
+        group *= 2 * m + 2
     return rows
 
 
@@ -469,12 +457,13 @@ def verify_rewrite_identities(m_max: int) -> VerificationReport:
 def verify_three_path(m_max: int) -> VerificationReport:
     """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
     _at_least(m_max, 1, "m_max")
-    connected, _ = _ROUTES["recurrence"](m_max)
-    columns = {name: _ROUTES[name](m_max)[0] for name in ("closed-form", "arques-walsh")}
-    report = VerificationReport()
+    connected = connected_sequence(m_max)
+    closed, distinct = _closed_form_sequence(m_max), _arques_walsh_sequence(m_max)
+    report, group = VerificationReport(), 1  # (2m)!!
     for m in range(1, m_max + 1):
-        for name, column in columns.items():
-            report.add(f"{name}-agreement", f"m={m}", connected[m], column[m])
+        group *= 2 * m
+        report.add("closed-form-agreement", f"m={m}", connected[m], closed[m])
+        report.add("arques-walsh-agreement", f"m={m}", connected[m], group * distinct[m])
     return report
 
 

@@ -603,14 +603,53 @@ def test_count_table_rows(max_order):
     assert [r.distinct for r in rows[:5]] == [1, 2, 10, 74, 706]
 
 
-def test_count_table_methods_agree():
+@pytest.mark.parametrize("max_order", [0, 1, 60])
+def test_count_table_methods_agree(max_order):
     # both columns of every route: connected = (2m)!! * distinct in each row,
-    # whether the route divides or multiplies, and every row is the walk's
-    walk = count_table(60)
-    assert [r.connected for r in walk] == connected_sequence(60)
+    # whether the route divides or multiplies, and every row is the walk's;
+    # orders 0 and 1 are the rows where (2m)!! is still 1 and 2
+    walk = count_table(max_order)
+    assert [r.connected for r in walk] == connected_sequence(max_order)
     assert all(r.connected == _even_product(2 * r.m) * r.distinct for r in walk)
     for method in ("recurrence", "closed-form", "arques-walsh", "all"):
-        assert count_table(60, method=method) == walk, method
+        assert count_table(max_order, method=method) == walk, method
+
+
+# each route's builder on the module, by its `--method` name
+_BUILDERS = {
+    "walk": "_walk_counts",
+    "recurrence": "connected_sequence",
+    "closed-form": "_closed_form_sequence",
+    "arques-walsh": "_arques_walsh_sequence",
+}
+
+
+def _count_builder_calls(monkeypatch):
+    """Wrap each route builder on the module; returns the calls per method name."""
+    calls = dict.fromkeys(_BUILDERS, 0)
+    for route, name in _BUILDERS.items():
+        builder = getattr(counting, name)
+
+        def counted(m_max, route=route, builder=builder):
+            calls[route] += 1
+            return builder(m_max)
+
+        monkeypatch.setattr(counting, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", [*_BUILDERS, "all"])
+def test_count_table_builds_each_route_once(monkeypatch, method):
+    calls = _count_builder_calls(monkeypatch)
+    count_table(12, method=method)
+    assert calls == {route: int(method in (route, "all")) for route in _BUILDERS}
+
+
+def test_three_path_builds_each_route_once(monkeypatch):
+    # routes 1-3; the walk is checked by the convolution suite
+    calls = _count_builder_calls(monkeypatch)
+    assert verify_three_path(12).overall
+    assert calls == {"walk": 0, "recurrence": 1, "closed-form": 1, "arques-walsh": 1}
 
 
 def test_all_methods_name_the_walk_when_it_disagrees(monkeypatch):
@@ -660,11 +699,16 @@ def test_a_fault_in_one_route_alone_is_caught(monkeypatch, builder, columns, che
     assert [c.name for c in failed] == checks
 
 
-def test_a_fault_in_arques_walsh_shows_in_both_of_its_columns(monkeypatch):
-    # route 3 builds the distinct count, so its one extra diagram at order 5
-    # is (2m)!! = 3840 extra pairings, not an inexact division
-    _plant_at_five(monkeypatch, "_arques_walsh_sequence", lambda value: value + 1)
-    rows = count_table(5, method="arques-walsh")
+@pytest.mark.parametrize("method", ["walk", "arques-walsh"])
+def test_a_fault_in_a_distinct_route_shows_in_both_of_its_columns(monkeypatch, method):
+    # the walk and route 3 build the distinct count, so one extra diagram at
+    # order 5 is (2m)!! = 3840 extra pairings, not an inexact division
+    if method == "walk":
+        values, diagonal = _fresh_walk(5)
+        monkeypatch.setattr(counting, "_walk_memo", (values[:5] + [values[5] + 1], diagonal))
+    else:
+        _plant_at_five(monkeypatch, "_arques_walsh_sequence", lambda value: value + 1)
+    rows = count_table(5, method=method)
     assert [(r.connected, r.distinct) for r in rows[4:]] == [(271104, 706), (31345920, 8163)]
 
 
