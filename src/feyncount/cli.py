@@ -51,11 +51,11 @@ def _count_cells(rows: list[counting.CountRow]) -> Iterator[list[str]]:
     The total and bubble columns are the factorials (2m+1)! and (2m)!, so
     they come from a running product in `decimal`, whose multiply by a small
     int and whose text are linear in the digits; `str(int)` is quadratic
-    before CPython 3.12.  The connected cell is derived from the distinct
-    cell's text: `count_table` makes connected (2m)!! times distinct in
-    every row, so it is that text as a `Decimal` times a running decimal
-    (2m)!!, which costs less than `str` of the larger integer.  Only the
-    distinct cell goes through `str(int)`.
+    before CPython 3.12.  The distinct cell is the row's count as a
+    `Decimal`, converted once; `count_table` makes connected (2m)!! times
+    distinct in every row, so the connected cell is that `Decimal` times a
+    running decimal (2m)!!.  No cell goes through `str(int)`, so none meets
+    its digit limit.
     """
     # imported here so that processes printing no count table never load it
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
@@ -64,9 +64,9 @@ def _count_cells(rows: list[counting.CountRow]) -> Iterator[list[str]]:
     bubble = group = Decimal(1)  # (2m)! and (2m)!!
     for r in rows:
         total = exact.multiply(bubble, 2 * r.m + 1)
-        distinct = str(r.distinct)
-        connected = exact.multiply(Decimal(distinct), group)
-        yield [str(r.m), str(total), str(bubble), str(connected), distinct]
+        distinct = Decimal(r.distinct)
+        connected = exact.multiply(distinct, group)
+        yield [str(r.m), str(total), str(bubble), str(connected), str(distinct)]
         bubble = exact.multiply(total, 2 * r.m + 2)
         group = exact.multiply(group, 2 * r.m + 2)
 
@@ -76,7 +76,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     if args.format == "bfile":
         # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
         for r in rows[1:]:
-            print(f"{r.m} {r.distinct}")
+            print(f"{r.m} {counting._render(r.distinct)}")
         return 0
     header = ["m", "total", "bubble", "connected", "distinct"]
     cells = _count_cells(rows)
@@ -215,7 +215,7 @@ def cmd_compositions(args: argparse.Namespace) -> int:
         for parts in enumerate_compositions(args.n):
             print("+".join(str(part) for part in parts))
     else:
-        print(count_compositions(args.n))
+        print(counting._render(count_compositions(args.n)))
     return 0
 
 
@@ -276,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Counts outgrow CPython's default 4300-digit limit on int -> str rendering.
-    # The limit is lifted for this call only; the caller gets its own back.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
@@ -300,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     except (MethodDisagreementError, ExactnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

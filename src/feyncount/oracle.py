@@ -106,13 +106,17 @@ def _pairings(m: int) -> str:
     """(2m+1)!, the number of pairings at order m, as a refusal states it.
 
     The digits are given up to order 778, while they fit CPython's default
-    4300-digit int -> str limit.  Above that the factorial is never built:
-    at order 10^5 that took seconds, and past order 2^62 it cannot be.
+    4300-digit int -> str limit, and rendered through `Decimal`, which that
+    limit does not govern.  Above that the factorial is never built: at
+    order 10^5 that took seconds, and past order 2^62 it cannot be.
     """
     n = 2 * m + 1
     # n! > 10^n from n = 25 on, so n! > 10^4300 for every n past 4300
     if n <= 4300 and (pairings := math.factorial(n)) < 10**4300:
-        return f"(2m+1)! = {pairings}"
+        # imported here so that processes refusing no order never load it
+        from decimal import Decimal
+
+        return f"(2m+1)! = {Decimal(pairings)}"
     return "(2m+1)! > 10^4300"
 
 

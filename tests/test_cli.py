@@ -355,6 +355,13 @@ def test_refusals_give_every_digit_of_the_cost_while_it_fits_the_limit(
     assert oracle._pairings(779) == "(2m+1)! > 10^4300"
 
 
+def test_refusals_give_the_same_cost_under_any_digit_limit(default_digit_limit):
+    # (2m+1)! at order 300 has 1400 digits, past 640, the lowest limit CPython accepts
+    text = oracle._pairings(300)
+    sys.set_int_max_str_digits(640)
+    assert oracle._pairings(300) == text
+
+
 def test_a_huge_order_is_refused_at_once():
     # built and printed in full, (2m+1)! took seconds at order 10^5
     start = time.perf_counter()
@@ -513,14 +520,39 @@ def test_compositions_renders_past_the_int_str_digit_limit(capsys, default_digit
     ],
 )
 def test_main_gives_back_the_callers_int_str_digit_limit(
-    capsys, default_digit_limit, argv, expected_code
+    capsys, monkeypatch, default_digit_limit, argv, expected_code
 ):
+    # the command runs under the caller's limit too: main never lifts it
+    limits = []
+    count_table = counting.count_table
+
+    def recording(*args, **kwargs):
+        limits.append(sys.get_int_max_str_digits())
+        return count_table(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_table", recording)
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == expected_code
+    # only the case given an order builds a table
+    assert limits == ([default_digit_limit] if "--max-order" in argv else [])
     assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+def test_an_integer_argument_past_the_digit_limit_is_refused_by_argparse(monkeypatch):
+    # 4301 digits: parsed under a lifted limit, the sweep it asks for never ends
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+    process = spawn("counts", "--max-order", "1" + "0" * 4300)
+    try:
+        out, err = process.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.communicate()
+        raise
+    assert (process.returncode, out) == (2, "")
+    assert "error: argument --max-order: invalid int value: '10000" in err
 
 
 def test_compositions_rejects_zero(capsys):
@@ -659,7 +691,7 @@ def test_startup_loads_only_the_modules_a_command_uses():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["", "", "decimal", "json,decimal"]
+    assert proc.stderr.splitlines() == ["", "decimal", "decimal", "json,decimal"]
     # the package's own modules, reported before any command writes to stdout:
     # a per-order count never compiles the oracle, the command loads it all
     assert proc.stdout.splitlines()[:3] == [
