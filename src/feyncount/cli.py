@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from . import counting, oracle
-from .compositions import _Refusal, _at_least, count_compositions, enumerate_compositions
+from .compositions import _Refusal, _at_least, _render, count_compositions, enumerate_compositions
 from .counting import ExactnessError, MethodDisagreementError, VerificationReport
 
 # Verify runs the coefficient-recursion suite no further than this order, which
@@ -76,7 +76,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     if args.format == "bfile":
         # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
         for r in rows[1:]:
-            print(f"{r.m} {counting._render(r.distinct)}")
+            print(f"{r.m} {_render(r.distinct)}")
         return 0
     header = ["m", "total", "bubble", "connected", "distinct"]
     cells = _count_cells(rows)
@@ -215,7 +215,7 @@ def cmd_compositions(args: argparse.Namespace) -> int:
         for parts in enumerate_compositions(args.n):
             print("+".join(str(part) for part in parts))
     else:
-        print(counting._render(count_compositions(args.n)))
+        print(_render(count_compositions(args.n)))
     return 0
 
 

@@ -22,7 +22,8 @@ from collections.abc import Iterator, Mapping
 
 
 # Defined in this module, which imports no other part of the package, so that
-# every module can raise it, and refuse an input below its floor by `_at_least`.
+# every module can raise it, refuse an input below its floor by `_at_least`,
+# and write a count, a check or a refused argument by `_render`.
 class _Refusal(ValueError):
     """An input or a cap was refused before any work started.
 
@@ -31,10 +32,24 @@ class _Refusal(ValueError):
     """
 
 
+def _render(value) -> str:
+    """Exact text of a count, a check value or a refused argument.
+
+    Integers go through `Decimal`, which prints the same digits as `str`
+    but is not subject to CPython's int -> str digit limit.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        # imported here so that processes rendering nothing never load it
+        from decimal import Decimal
+
+        return str(Decimal(value))
+    return str(value)
+
+
 def _at_least(value: int, least: int, name: str) -> None:
     """Refuse `value` below its floor `least`, naming it `name`."""
     if value < least:
-        raise _Refusal(f"{name} must be >= {least}, got {value}")
+        raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
 
 
 def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -80,7 +95,9 @@ def multiset_multiplicity(ms: Mapping[int, int]) -> int:
         raise _Refusal("part multiset must be non-empty")
     for part, mult in ms.items():
         if part < 1 or mult < 1:
-            raise _Refusal(f"parts and multiplicities must be >= 1, got {part}: {mult}")
+            raise _Refusal(
+                f"parts and multiplicities must be >= 1, got {_render(part)}: {_render(mult)}"
+            )
     result = math.factorial(sum(ms.values()))
     for mult in ms.values():
         result //= math.factorial(mult)

@@ -56,7 +56,7 @@ import math
 import threading
 from collections import namedtuple
 
-from .compositions import _Refusal, _at_least, _part_multisets, multiset_multiplicity
+from .compositions import _Refusal, _at_least, _part_multisets, _render, multiset_multiplicity
 
 class ExactnessError(Exception):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -91,7 +91,7 @@ def bubble_diagrams(m: int) -> int:
 def double_factorial(k: int) -> int:
     """k!! = 2*4*...*k for even k >= 0; the symmetry-group order at k = 2m."""
     if k < 0 or k % 2:
-        raise _Refusal(f"only even non-negative arguments arise here, got {k}")
+        raise _Refusal(f"only even non-negative arguments arise here, got {_render(k)}")
     half = k // 2
     return (1 << half) * math.factorial(half)
 
@@ -206,7 +206,7 @@ def coefficient(n: int, m: int) -> int:
     """
     _at_least(m, 0, "perturbation order")
     if not 1 <= n <= m:
-        raise _Refusal(f"need 1 <= n <= m, got n={n}, m={m}")
+        raise _Refusal(f"need 1 <= n <= m, got n={_render(n)}, m={_render(m)}")
     return math.perm(m, m - n) * _classificatory_sum(m - n)
 
 
@@ -338,20 +338,6 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
         bubble = total * (2 * m + 2)
         group *= 2 * m + 2
     return rows
-
-
-def _render(value) -> str:
-    """Exact text of a check value, or of a count in an error message.
-
-    Integers go through `Decimal`, which prints the same digits as `str`
-    but is not subject to CPython's int -> str digit limit.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        # imported here so that processes building no report never load it
-        from decimal import Decimal
-
-        return str(Decimal(value))
-    return str(value)
 
 
 class Check(namedtuple("Check", "name params expected actual passed")):

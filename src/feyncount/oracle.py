@@ -46,7 +46,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .compositions import _Refusal, _at_least
+from .compositions import _Refusal, _at_least, _render
 
 #: Largest order enumerated without an explicit override.
 DEFAULT_ORDER_CAP = 4
@@ -105,18 +105,14 @@ class OrbitCensus(
 def _pairings(m: int) -> str:
     """(2m+1)!, the number of pairings at order m, as a refusal states it.
 
-    The digits are given up to order 778, while they fit CPython's default
-    4300-digit int -> str limit, and rendered through `Decimal`, which that
-    limit does not govern.  Above that the factorial is never built: at
-    order 10^5 that took seconds, and past order 2^62 it cannot be.
+    The digits are given by `_render` up to order 778, the last whose
+    (2m+1)! has at most 4300 digits.  Above that the factorial is never
+    built: at order 10^5 that took seconds, and past order 2^62 it cannot be.
     """
     n = 2 * m + 1
     # n! > 10^n from n = 25 on, so n! > 10^4300 for every n past 4300
     if n <= 4300 and (pairings := math.factorial(n)) < 10**4300:
-        # imported here so that processes refusing no order never load it
-        from decimal import Decimal
-
-        return f"(2m+1)! = {Decimal(pairings)}"
+        return f"(2m+1)! = {_render(pairings)}"
     return "(2m+1)! > 10^4300"
 
 
@@ -128,12 +124,12 @@ def _check_cap(m: int, override: bool, keyword: str = "override=True") -> None:
     pairings = _pairings(m)
     if m > OVERRIDE_ORDER_CAP:
         raise OrderCapError(
-            f"order {m} means enumerating {pairings} pairings; "
+            f"order {_render(m)} means enumerating {pairings} pairings; "
             f"the hard cap is {OVERRIDE_ORDER_CAP}"
         )
     if not override:
         raise OrderCapError(
-            f"order {m} means enumerating {pairings} pairings; "
+            f"order {_render(m)} means enumerating {pairings} pairings; "
             f"pass {keyword} to proceed up to order {OVERRIDE_ORDER_CAP}"
         )
 
@@ -203,7 +199,7 @@ def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
     _at_least(m, 1, "order")
     n = 2 * m + 1
     if len(pairing) != n or sorted(pairing) != list(range(n)):
-        raise _Refusal(f"not a bijection on {n} slots: {pairing}")
+        raise _Refusal(f"not a bijection on {_render(n)} slots: {pairing}")
 
 
 def _relabelled(pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)) -> tuple[int, ...]:
@@ -338,7 +334,7 @@ def orbit_census(m: int) -> OrbitCensus:
     _at_least(m, 1, "order")
     if m > DEFAULT_ORDER_CAP:
         raise OrderCapError(
-            f"orbit census at order {m} would classify {_pairings(m)} pairings; "
+            f"orbit census at order {_render(m)} would classify {_pairings(m)} pairings; "
             f"the census cap is {DEFAULT_ORDER_CAP}"
         )
     shard: Counter[tuple[int, ...]] = Counter()

@@ -1,15 +1,17 @@
 """Composition enumeration, counting, and multiset multiplicities."""
 
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feyncount.cli import main
 from feyncount.compositions import (
     _part_multisets,
+    _render,
     count_compositions,
     enumerate_compositions,
     multiset_multiplicity,
@@ -160,3 +162,22 @@ def test_part_multisets_are_the_sorted_compositions(k):
     assert len(set(sorted_parts)) == len(sorted_parts)
     assert set(sorted_parts) == {tuple(sorted(c)) for c in enumerate_compositions(k)}
     assert sum(multiset_multiplicity(ms) for ms in multisets) == 2 ** (k - 1)
+
+
+# Integers of either sign and of up to 16000 bits, 4817 digits: past CPython's
+# default 4300-digit int -> str limit.
+@settings(max_examples=50, deadline=None)
+@given(
+    value=st.integers(0, 16000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+)
+@example(value=0)
+@example(value=10**4300 - 1)
+@example(value=-(10**4300))
+def test_render_writes_the_digits_str_writes(value):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert _render(value) == text

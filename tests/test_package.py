@@ -3,14 +3,17 @@ the floor below which each entry point refuses its input."""
 
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import feyncount
-from feyncount.compositions import _Refusal
+from feyncount.compositions import _Refusal, multiset_multiplicity
+from feyncount.counting import coefficient, double_factorial
+from feyncount.oracle import OrderCapError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -120,10 +123,50 @@ CALLS = {
 @pytest.mark.parametrize("name", sorted(FLOORS))
 @settings(max_examples=10, deadline=None)
 @given(below=st.integers(max_value=-1))
+# more than 4300 digits at either floor, past CPython's default int -> str limit
+@example(below=-10**4300 - 1)
 def test_every_entry_point_refuses_below_its_floor_and_not_at_it(name, below):
     least, label = FLOORS[name]
     call = CALLS.get(name, getattr(feyncount, name))
     with pytest.raises(_Refusal) as exc:
         call(least + below)
-    assert str(exc.value) == f"{label} must be >= {least}, got {least + below}"
+    assert str(exc.value) == f"{label} must be >= {least}, got {Decimal(least + below)}"
     call(least)
+
+
+# Every other refusal that states an integer argument, given one of more than
+# 4300 digits: the refusal it raises and the value its message states.
+PAST_THE_LIMIT = 10**4300
+REFUSALS_PAST_THE_LIMIT = {
+    "double_factorial": (
+        lambda: double_factorial(PAST_THE_LIMIT + 1), _Refusal, PAST_THE_LIMIT + 1
+    ),
+    "coefficient": (lambda: coefficient(PAST_THE_LIMIT, 3), _Refusal, PAST_THE_LIMIT),
+    "multiset_multiplicity": (
+        lambda: multiset_multiplicity({-PAST_THE_LIMIT: 1}), _Refusal, -PAST_THE_LIMIT
+    ),
+    # (2m+1)! > 10^4300, past the hard cap that no override reaches
+    "enumerate_matchings": (
+        lambda: feyncount.enumerate_matchings(PAST_THE_LIMIT), OrderCapError, PAST_THE_LIMIT
+    ),
+    "enumerate_matchings-override": (
+        lambda: feyncount.enumerate_matchings(PAST_THE_LIMIT, override=True),
+        OrderCapError,
+        PAST_THE_LIMIT,
+    ),
+    "orbit_census": (
+        lambda: feyncount.orbit_census(PAST_THE_LIMIT), OrderCapError, PAST_THE_LIMIT
+    ),
+    # the slot count 2m+1
+    "canonical_form": (
+        lambda: feyncount.canonical_form((0,), PAST_THE_LIMIT), _Refusal, 2 * PAST_THE_LIMIT + 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS_PAST_THE_LIMIT))
+def test_refusals_state_values_past_the_digit_limit_in_full(name, default_digit_limit):
+    call, refusal, value = REFUSALS_PAST_THE_LIMIT[name]
+    with pytest.raises(refusal) as exc:
+        call()
+    assert str(Decimal(value)) in str(exc.value)
