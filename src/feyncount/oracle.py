@@ -18,7 +18,9 @@ unqueued belong to the vertices cut off from the external points, so
 every pairing by that number n, the size of its vacuum part, which is
 the split behind (2m+1)! = sum_n C(m,n) (2n)! c(m-n).  The numbers the
 rule hands out build the orbit's lexicographic minimum directly, which
-is how `canonical_form` names a diagram.
+is how `canonical_form` names a diagram.  Past X's component, it roots
+each vacuum part in turn at the slot whose part reads least: one greedy
+pass, with no search over the order of the roots.
 
 One depth-first walk serves both entry points, `enumerate_matchings`
 and `orbit_census`.  It builds the pairings in the rule's own slot
@@ -198,26 +200,37 @@ def enumerate_matchings(m: int, *, override: bool = False) -> MatchCensus:
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
     _at_least(m, 1, "order")
     n = 2 * m + 1
-    if len(pairing) != n or sorted(pairing) != list(range(n)):
+    if (
+        len(pairing) != n
+        or not all(isinstance(s, int) for s in pairing)
+        or sorted(pairing) != list(range(n))
+    ):
         raise _Refusal(f"not a bijection on {_render(n)} slots: {pairing}")
 
 
-def _relabelled(pairing: tuple[int, ...], queue: tuple[int, ...] = (0,)) -> tuple[int, ...]:
+def _relabelled(pairing: tuple[int, ...]) -> tuple[int, ...]:
     """Least image of the pairing under vertex relabellings and point swaps.
 
-    `_reached` numbers the slots from the queue.  Every new number is the
-    least still free, so the image is the orbit's minimum.  When X's
-    component is used up with vertices left, each unnumbered slot is tried
-    as the next root and the least result is kept.
+    `_reached` numbers the slots from slot 0.  Every new number is the
+    least still free, so the image is the orbit's minimum.  While vertices
+    are left once X's component has closed, each unnumbered slot is tried
+    as the root of the next vacuum part, and the root whose part reads
+    least is kept.  That greedy pick is exact: a part reached from any of
+    its slots is the whole part, as every vertex has two slots on each
+    side, and a part's image is a permutation of the next numbers it
+    takes, so no part's image is a proper prefix of another's.  The least
+    continuation therefore starts with the least next part, and equal
+    parts are interchangeable.  Each part tries every remaining root with
+    one `_reached` of the whole queue: O(m^3) steps at worst.
     """
-    queue, new = _reached(pairing, queue)
-    if len(queue) == len(pairing):
-        return tuple(new[pairing[s]] for s in queue)
-    return min(
-        _relabelled(pairing, (*queue, s, s + 1 if s & 1 else s - 1))
-        for s in range(1, len(pairing))
-        if s not in new
-    )
+    queue, new = _reached(pairing)
+    while len(queue) < len(pairing):
+        queue, new = min(
+            (_reached(pairing, (*queue, s, s + 1 if s & 1 else s - 1))
+             for s in range(1, len(pairing)) if s not in new),
+            key=lambda walk: [walk[1][pairing[s]] for s in walk[0]],
+        )
+    return tuple(new[pairing[s]] for s in queue)
 
 
 def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
@@ -305,8 +318,9 @@ def canonical_form(pairing: tuple[int, ...], m: int) -> CanonicalDiagram:
 
     Two pairings have equal canonical forms exactly when some relabeling
     and point swap carries one onto the other.  One walk from slot 0 builds
-    the minimum in O(m) steps for a connected pairing; a disconnected one
-    branches over the root of each vacuum part.
+    the minimum in O(m) steps for a connected pairing.  For a disconnected
+    one, each vacuum part in turn is rooted where it reads least, in one
+    greedy pass of O(m^3) steps at worst, with no search over root orders.
     """
     _validate_pairing(pairing, m)
     return CanonicalDiagram(m, _relabelled(pairing))

@@ -59,16 +59,20 @@ def _group(m):
     Slot 0 is fixed; the same table applies to both slot sides.  This is
     the reference group that the relabelling walk is checked against.
     """
-    tables = []
-    for relabel in itertools.permutations(range(1, m + 1)):
-        for flips in range(1 << m):
-            table = [0] * (2 * m + 1)
-            for i, j in enumerate(relabel, start=1):
-                flip = (flips >> (i - 1)) & 1
-                table[2 * i - 1] = 2 * j - 1 + flip
-                table[2 * i] = 2 * j - flip
-            tables.append(tuple(table))
-    return tuple(tables)
+    return tuple(
+        _table(relabel, [(flips >> i) & 1 for i in range(m)])
+        for relabel in itertools.permutations(range(1, m + 1))
+        for flips in range(1 << m)
+    )
+
+
+def _table(relabel, flips):
+    """Slot table moving vertex i to relabel[i-1], its points swapped if flips[i-1]."""
+    table = [0] * (2 * len(relabel) + 1)
+    for i, (j, flip) in enumerate(zip(relabel, flips), start=1):
+        table[2 * i - 1] = 2 * j - 1 + flip
+        table[2 * i] = 2 * j - flip
+    return tuple(table)
 
 
 def _act(table, pairing):
@@ -87,6 +91,25 @@ def _group_minimum(pairing, m):
 def _pairings(draw, max_order):
     m = draw(st.integers(min_value=1, max_value=max_order))
     return m, tuple(draw(st.permutations(range(2 * m + 1))))
+
+
+@st.composite
+def _block_pairings(draw, max_order):
+    """A disjoint union of pairings on random vertex blocks, X's being block 0.
+
+    Each block's slots are paired among themselves at random, so a block
+    may split further, and many of these pairings have several vacuum parts.
+    """
+    m = draw(st.integers(min_value=1, max_value=max_order))
+    blocks = draw(st.integers(min_value=1, max_value=m))
+    block_of = draw(st.lists(st.integers(0, blocks - 1), min_size=m, max_size=m))
+    pairing = [0] * (2 * m + 1)
+    for b in range(blocks):
+        slots = [0] * (b == 0)
+        slots += [s for i, k in enumerate(block_of, 1) if k == b for s in (2 * i - 1, 2 * i)]
+        for a, c in zip(slots, draw(st.permutations(slots))):
+            pairing[a] = c
+    return m, tuple(pairing)
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -312,8 +335,8 @@ def test_canonical_form_classifies_orbits():
 
 
 def test_canonical_form_is_the_group_minimum_on_every_pairing():
-    # disconnected pairings too, where the walk branches over each
-    # vacuum part's root
+    # disconnected pairings too, where each vacuum part in turn is rooted
+    # at the slot whose part reads least
     for m in (1, 2, 3):
         for p in itertools.permutations(range(2 * m + 1)):
             assert canonical_form(p, m).pairing == _group_minimum(p, m), p
@@ -341,6 +364,47 @@ def test_canonical_form_invariant_under_random_group_element(drawn, data):
     assert canonical_form(_act(table, p), m) == canonical_form(p, m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_block_pairings(max_order=12), st.data())
+def test_canonical_form_is_invariant_and_idempotent_past_brute_force_reach(drawn, data):
+    # one relabel-and-flip table drawn directly: _group(12) would hold
+    # 24!! = 1,961,990,553,600 tables
+    m, p = drawn
+    relabel = data.draw(st.permutations(range(1, m + 1)))
+    flips = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    moved = _act(_table(relabel, flips), p)
+    form = canonical_form(p, m)
+    assert canonical_form(moved, m) == form
+    assert canonical_form(form.pairing, m) == form
+    assert form.pairing <= min(p, moved)
+
+
+def test_canonical_form_is_polynomial_in_the_vacuum_parts():
+    # a search over the order of the vacuum parts' roots takes about
+    # 2^k k! walks for k parts, so it never returns here; one greedy pass
+    # takes milliseconds.  A fresh interpreter, so the timeout can stop it.
+    # Fifteen two-vertex parts at order 30 alternate between two members
+    # of one orbit, whose order-2 form is tiled at slots 1 + 4k.
+    members = [(0, 2, 3, 1, 4), (0, 1, 4, 2, 3)]
+    form = _group_minimum(members[0], 2)
+    assert form == (0, 1, 3, 4, 2) == _group_minimum(members[1], 2)
+    tiled = (0, *(4 * k + c for k in range(15) for c in members[k % 2][1:]))
+    expected = (0, *(4 * k + c for k in range(15) for c in form[1:]))
+    script = (
+        "from feyncount.oracle import canonical_form\n"
+        "print(canonical_form(tuple(range(81)), 40).pairing)\n"
+        f"print(canonical_form({tiled}, 30).pairing)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"{tuple(range(81))}\n{expected}\n"
+
+
 def test_canonical_form_separates_order_one_diagrams():
     census = orbit_census(1)
     first, second = census.representatives
@@ -354,6 +418,15 @@ def test_canonical_form_validates_input():
         canonical_form((0, 0, 1), 1)
     with pytest.raises(ValueError):
         canonical_form((0, 1), 1)
+
+
+@pytest.mark.parametrize("entry", [canonical_form, matching_is_connected, diagram_edges])
+@pytest.mark.parametrize("pairing", [(0.0, 1, 2), (1.0, 0, 2), (1, 0, 2.0)])
+def test_pairing_entry_points_refuse_slots_that_are_not_ints(entry, pairing):
+    # each sorts equal to range(3), so only the slots' type gives them away
+    with pytest.raises(_Refusal) as refusal:
+        entry(pairing, 1)
+    assert str(refusal.value) == f"not a bijection on 3 slots: {pairing}"
 
 
 def test_caps():
