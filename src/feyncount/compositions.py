@@ -1,10 +1,10 @@
-"""Ordered compositions of a positive integer and multiset multiplicities.
+"""Ordered compositions of an integer n >= 0 and multiset multiplicities.
 
 A composition of n is an ordered tuple of positive parts summing to n;
 order matters, so (4, 1) and (1, 4) are distinct.  There are 2**(n-1)
-of them.  They index the terms of the signed diagram-count expansions
-the paper writes down, so enumeration must be exhaustive,
-duplicate-free, and deterministic.
+of them, and one, the empty one, at n = 0.  They index the terms of the
+signed diagram-count expansions the paper writes down, so enumeration
+must be exhaustive, duplicate-free, and deterministic.
 
 Compositions that use the same parts give equal terms in those
 expansions.  The paper's classificatory sum therefore runs over part
@@ -22,8 +22,8 @@ from collections.abc import Iterator, Mapping
 
 
 # Defined in this module, which imports no other part of the package, so that
-# every module can raise it, refuse an input below its floor by `_at_least`,
-# and write a count, a check or a refused argument by `_render`.
+# every module can raise it, refuse a non-integer or an input below its floor
+# by `_at_least`, and write a count, a check or a refused argument by `_render`.
 class _Refusal(ValueError):
     """An input or a cap was refused before any work started.
 
@@ -47,7 +47,11 @@ def _render(value) -> str:
 
 
 def _at_least(value: int, least: int, name: str) -> None:
-    """Refuse `value` below its floor `least`, naming it `name`."""
+    """The one integer guard: refuse `value`, named `name`, unless it is an
+    `int` >= `least`.  A `bool` is an `int` here, as it is to `range`.
+    """
+    if not isinstance(value, int):
+        raise _Refusal(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
 
@@ -86,18 +90,14 @@ def count_compositions(n: int) -> int:
 def multiset_multiplicity(ms: Mapping[int, int]) -> int:
     """How many compositions share the part multiset `ms`.
 
-    `ms` maps part value -> multiplicity.  Returns the multinomial
-    (sum of multiplicities)! / product of multiplicity factorials, which
-    is how often that multiset occurs in the composition stream of its
-    weighted total.
+    `ms` maps part value -> multiplicity, each an int >= 1.  Returns the
+    multinomial (sum of multiplicities)! / product of multiplicity
+    factorials: how often that multiset occurs in the composition stream
+    of its weighted total, and 1 for {}, the one empty composition of 0.
     """
-    if not ms:
-        raise _Refusal("part multiset must be non-empty")
     for part, mult in ms.items():
-        if part < 1 or mult < 1:
-            raise _Refusal(
-                f"parts and multiplicities must be >= 1, got {_render(part)}: {_render(mult)}"
-            )
+        _at_least(part, 1, "part")
+        _at_least(mult, 1, "multiplicity")
     result = math.factorial(sum(ms.values()))
     for mult in ms.values():
         result //= math.factorial(mult)

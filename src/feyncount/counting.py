@@ -90,7 +90,8 @@ def bubble_diagrams(m: int) -> int:
 
 def double_factorial(k: int) -> int:
     """k!! = 2*4*...*k for even k >= 0; the symmetry-group order at k = 2m."""
-    if k < 0 or k % 2:
+    _at_least(k, 0, "k")
+    if k % 2:
         raise _Refusal(f"only even non-negative arguments arise here, got {_render(k)}")
     half = k // 2
     return (1 << half) * math.factorial(half)
@@ -176,11 +177,9 @@ def connected_recurrence(m: int) -> int:
 def _classificatory_sum(k: int) -> int:
     """The part-multiset sum of `coefficient` at m - n = k, without m!/n!.
 
-    Over part multisets {a: mu_a} of k, the sum of
+    Over part multisets {a: mu_a} of k, only {} at k = 0, the sum of
     multiset_multiplicity * (-1)**(sum mu_a) * prod_a ((2a)!/a!)**mu_a.
     """
-    if not k:
-        return 1
     ratio = [1]  # (2a)!/a!
     for a in range(1, k + 1):
         ratio.append(ratio[-1] * (4 * a - 2))
@@ -205,7 +204,8 @@ def coefficient(n: int, m: int) -> int:
     m - n, the paper's classificatory sum (`_classificatory_sum`).
     """
     _at_least(m, 0, "perturbation order")
-    if not 1 <= n <= m:
+    _at_least(n, 1, "n")
+    if n > m:
         raise _Refusal(f"need 1 <= n <= m, got n={_render(n)}, m={_render(m)}")
     return math.perm(m, m - n) * _classificatory_sum(m - n)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from feyncount.cli import main
 from feyncount.compositions import (
+    _Refusal,
     _part_multisets,
     _render,
     count_compositions,
@@ -136,11 +137,11 @@ def test_multiplicity_against_stream_filter():
 
 
 def test_multiplicity_rejects_bad_input():
-    with pytest.raises(ValueError):
-        multiset_multiplicity({})
-    with pytest.raises(ValueError):
+    # the empty multiset is the one empty composition of 0, not bad input
+    assert multiset_multiplicity({}) == 1
+    with pytest.raises(_Refusal, match=r"^part must be >= 1, got 0$"):
         multiset_multiplicity({0: 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(_Refusal, match=r"^multiplicity must be >= 1, got 0$"):
         multiset_multiplicity({3: 0})
 
 
@@ -153,15 +154,17 @@ def test_grouping_by_multiset_is_lossless():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=16))
+@given(st.integers(min_value=0, max_value=16))
+@example(0)
 def test_part_multisets_are_the_sorted_compositions(k):
     # the classificatory sum's terms: one per distinct sorted composition,
-    # weighted by multiplicities that count the whole composition stream
+    # weighted by multiplicities that count the whole composition stream;
+    # at k = 0 the one term is {}, the empty composition
     multisets = list(_part_multisets(k))
     sorted_parts = [tuple(sorted(Counter(ms).elements())) for ms in multisets]
     assert len(set(sorted_parts)) == len(sorted_parts)
     assert set(sorted_parts) == {tuple(sorted(c)) for c in enumerate_compositions(k)}
-    assert sum(multiset_multiplicity(ms) for ms in multisets) == 2 ** (k - 1)
+    assert sum(multiset_multiplicity(ms) for ms in multisets) == count_compositions(k)
 
 
 # Integers of either sign and of up to 16000 bits, 4817 digits: past CPython's

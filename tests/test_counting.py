@@ -228,9 +228,9 @@ def test_double_factorial_matches_direct_product():
 
 
 def test_double_factorial_rejects_odd_and_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(_Refusal, match=r"^only even non-negative arguments arise here, got 3$"):
         double_factorial(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(_Refusal, match=r"^k must be >= 0, got -2$"):
         double_factorial(-2)
 
 
@@ -282,9 +282,9 @@ def test_coefficient_matches_the_multinomial_sum_at_random_orders(nm):
 
 
 def test_coefficient_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(_Refusal, match=r"^n must be >= 1, got 0$"):
         coefficient(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(_Refusal, match=r"^need 1 <= n <= m, got n=4, m=3$"):
         coefficient(4, 3)
 
 
@@ -498,32 +498,23 @@ def test_fresh_reports_share_no_checks_list():
     assert second.checks == []
 
 
-def test_report_renders_past_the_int_str_digit_limit():
-    # the CLI lifts the limit for its own process, so restore the default here
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        report = counting.VerificationReport()
-        report.add("x", "", 10**5000, 10**5000)
-        assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(previous)
+def test_report_renders_past_the_int_str_digit_limit(default_digit_limit):
+    report = counting.VerificationReport()
+    report.add("x", "", 10**5000, 10**5000)
+    assert sys.get_int_max_str_digits() == default_digit_limit
     (check,) = report.checks
     assert check.passed
     assert check.expected == check.actual == "1" + "0" * 5000
 
 
-def test_failing_rewrite_row_renders_past_the_int_str_digit_limit(monkeypatch):
+def test_failing_rewrite_row_renders_past_the_int_str_digit_limit(
+    monkeypatch, default_digit_limit
+):
     # a bubble count planted one too high leaves every total-rewrite division
     # inexact; at n = 600 its numerator has more than 4300 digits
     bubble = counting.bubble_diagrams
     monkeypatch.setattr(counting, "bubble_diagrams", lambda n: bubble(n) + (n > 1))
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        report = verify_rewrite_identities(600)
-    finally:
-        sys.set_int_max_str_digits(previous)
+    report = verify_rewrite_identities(600)
     rows = [check for check in report.checks if check.name == "total-rewrite"]
     assert len(rows) == 600 and not any(check.passed for check in rows)
     numerator = math.factorial(600) * (bubble(601) + 1)
@@ -720,23 +711,18 @@ def test_distinct_count_is_an_exact_division_of_the_recurrence(monkeypatch):
     assert not verify_divisibility(5).overall
 
 
-def test_errors_render_counts_past_the_int_str_digit_limit(monkeypatch):
+def test_errors_render_counts_past_the_int_str_digit_limit(monkeypatch, default_digit_limit):
     # a route 1 count of 5001 digits planted at order 5, under the default limit
     _plant_at_five(monkeypatch, "connected_sequence", lambda count: 10**5000 + 1)
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(
-            ExactnessError,
-            match=r"^connected count at order 5: 10{4999}1 is not divisible by 3840$",
-        ):
-            count_table(5, method="recurrence")
-        with pytest.raises(
-            MethodDisagreementError, match=r"order 5: walk=31342080, recurrence=10{4999}1, "
-        ):
-            count_table(5, method="all")
-    finally:
-        sys.set_int_max_str_digits(previous)
+    with pytest.raises(
+        ExactnessError,
+        match=r"^connected count at order 5: 10{4999}1 is not divisible by 3840$",
+    ):
+        count_table(5, method="recurrence")
+    with pytest.raises(
+        MethodDisagreementError, match=r"order 5: walk=31342080, recurrence=10{4999}1, "
+    ):
+        count_table(5, method="all")
 
 
 def test_count_table_rejects_unknown_method(monkeypatch):

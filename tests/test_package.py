@@ -1,9 +1,10 @@
 """The package namespace: its public names, when their modules load, and
-the floor below which each entry point refuses its input."""
+the integer guard of each entry point: its floor and its non-integers."""
 
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,8 +82,12 @@ def test_public_names_are_their_modules_objects_and_load_on_first_use():
 
 
 def _pairing(call):
-    """An entry point that takes a pairing, given the identity one of order m."""
-    return lambda m: call(tuple(range(2 * m + 1)), m)
+    """An entry point that takes a pairing, given the identity one of order m.
+
+    The pairing is built from int(m), so a non-integer m reaches the entry
+    point as the order alone.
+    """
+    return lambda m: call(tuple(range(2 * int(m) + 1)), m)
 
 
 # Every public entry point with a floor on one integer argument: the floor and
@@ -132,6 +137,42 @@ def test_every_entry_point_refuses_below_its_floor_and_not_at_it(name, below):
         call(least + below)
     assert str(exc.value) == f"{label} must be >= {least}, got {Decimal(least + below)}"
     call(least)
+
+
+def _results(result):
+    """What two calls' results compare by: a report by its checks."""
+    return getattr(result, "checks", result)
+
+
+@pytest.mark.parametrize("name", sorted(FLOORS))
+def test_every_entry_point_refuses_a_non_integer_and_takes_a_bool(name):
+    least, label = FLOORS[name]
+    call = CALLS.get(name, getattr(feyncount, name))
+    for value in (float(least), Fraction(least), Decimal(least), str(least)):
+        with pytest.raises(_Refusal) as exc:
+            call(value)
+        assert str(exc.value) == f"{label} must be an integer, got {value!r}"
+    # a bool is an int, as it is to `range`
+    for value in (False, True):
+        if value >= least:
+            assert _results(call(value)) == _results(call(int(value)))
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: double_factorial(4.0), "k must be an integer, got 4.0"),
+        (lambda: coefficient(1.5, 3), "n must be an integer, got 1.5"),
+        (lambda: coefficient(1, 3.0), "perturbation order must be an integer, got 3.0"),
+        (lambda: multiset_multiplicity({1.5: 1}), "part must be an integer, got 1.5"),
+        (lambda: multiset_multiplicity({2: 1.0}), "multiplicity must be an integer, got 1.0"),
+    ],
+    ids=["double_factorial", "coefficient-n", "coefficient-m", "part", "multiplicity"],
+)
+def test_the_guards_outside_floors_refuse_a_non_integer(call, text):
+    with pytest.raises(_Refusal) as exc:
+        call()
+    assert str(exc.value) == text
 
 
 # Every other refusal that states an integer argument, given one of more than
