@@ -3,8 +3,8 @@
 
 Lists the 16 ordered ways of adding 5, groups them by part multiset, and
 shows that the multinomial multiplicity predicts each group size: the
-bookkeeping that lets the closed form and the Arques-Walsh sum slice
-their 2**m terms.
+bookkeeping that lets `coefficient`'s classificatory sum run over the
+p(n) part multisets of n instead of its 2**(n-1) compositions.
 
 Run: python3 demos/compositions_tour.py
 """

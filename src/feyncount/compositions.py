@@ -23,7 +23,7 @@ from collections.abc import Iterator, Mapping
 
 # Defined in this module, which imports no other part of the package, so that
 # every module can raise it, refuse a non-integer or an input below its floor
-# by `_at_least`, and write a count, a check or a refused argument by `_render`.
+# by `_at_least`, and write a count, a check or a refused integer by `_render`.
 class _Refusal(ValueError):
     """An input or a cap was refused before any work started.
 
@@ -33,7 +33,7 @@ class _Refusal(ValueError):
 
 
 def _render(value) -> str:
-    """Exact text of a count, a check value or a refused argument.
+    """Exact text of a count, a check value or a refused integer.
 
     Integers go through `Decimal`, which prints the same digits as `str`
     but is not subject to CPython's int -> str digit limit.
@@ -48,10 +48,11 @@ def _render(value) -> str:
 
 def _at_least(value: int, least: int, name: str) -> None:
     """The one integer guard: refuse `value`, named `name`, unless it is an
-    `int` >= `least`.  A `bool` is an `int` here, as it is to `range`.
+    `int` >= `least`.  A `bool` is an `int` here, as it is to `range`.  A
+    non-int is named by its type alone, as its text may pass the int -> str limit.
     """
     if not isinstance(value, int):
-        raise _Refusal(f"{name} must be an integer, got {value!r}")
+        raise _Refusal(f"{name} must be an integer, got {type(value).__name__}")
     if value < least:
         raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
 

@@ -308,7 +308,7 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
     """
     _at_least(max_order, 0, "perturbation order")
     if method not in _COUNT_METHODS:
-        raise _Refusal(f"unknown method: {method!r}")
+        raise _Refusal(f"unknown method, expected one of: {', '.join(_COUNT_METHODS)}")
     names = list(_ROUTES) if method == "all" else [method]
     built = {name: _ROUTES[name](max_order) for name in names}
     rows = []

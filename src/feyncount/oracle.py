@@ -205,7 +205,7 @@ def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
         or not all(isinstance(s, int) for s in pairing)
         or sorted(pairing) != list(range(n))
     ):
-        raise _Refusal(f"not a bijection on {_render(n)} slots: {pairing}")
+        raise _Refusal(f"not a bijection on {_render(n)} slots")
 
 
 def _relabelled(pairing: tuple[int, ...]) -> tuple[int, ...]:
@@ -376,11 +376,10 @@ def export_diagram(diagram: CanonicalDiagram) -> str:
     on the diagram, so repeated exports are byte-identical.
     """
     m = diagram.order
+    edges = diagram_edges(diagram.pairing, m)
     names = ["X", "Y"] + [f"v{i}" for i in range(1, m + 1)]
     lines = [f"graph diagram_m{m} {{"]
     lines.extend(f"  {name};" for name in names)
-    lines.extend(
-        f"  {names[u]} -- {names[v]};" for u, v in diagram_edges(diagram.pairing, m)
-    )
+    lines.extend(f"  {names[u]} -- {names[v]};" for u, v in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -426,7 +426,7 @@ def test_pairing_entry_points_refuse_slots_that_are_not_ints(entry, pairing):
     # each sorts equal to range(3), so only the slots' type gives them away
     with pytest.raises(_Refusal) as refusal:
         entry(pairing, 1)
-    assert str(refusal.value) == f"not a bijection on 3 slots: {pairing}"
+    assert str(refusal.value) == "not a bijection on 3 slots"
 
 
 def test_caps():
