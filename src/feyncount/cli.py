@@ -45,41 +45,42 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _count_cells(rows: list[counting.CountRow]) -> Iterator[list[str]]:
-    """The cells of `count_table` rows from order 0 up, one row at a time.
+def _count_cells(column: list[int]) -> Iterator[list[str]]:
+    """The count table's cells from order 0 up, one row at a time, from the
+    distinct column alone; `counting.count_table` is the library's table of
+    the same four counts as integers.
 
     The total and bubble columns are the factorials (2m+1)! and (2m)!, so
     they come from a running product in `decimal`, whose multiply by a small
     int and whose text are linear in the digits; `str(int)` is quadratic
-    before CPython 3.12.  The distinct cell is the row's count as a
-    `Decimal`, converted once; `count_table` makes connected (2m)!! times
-    distinct in every row, so the connected cell is that `Decimal` times a
-    running decimal (2m)!!.  No cell goes through `str(int)`, so none meets
-    its digit limit.
+    before CPython 3.12.  The distinct cell is the order's count as a
+    `Decimal`, converted once, and the connected count is (2m)!! times it,
+    so the connected cell is that `Decimal` times a running decimal (2m)!!.
+    No cell goes through `str(int)`, so none meets its digit limit.
     """
     # imported here so that processes printing no count table never load it
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
     bubble = group = Decimal(1)  # (2m)! and (2m)!!
-    for r in rows:
-        total = exact.multiply(bubble, 2 * r.m + 1)
-        distinct = Decimal(r.distinct)
+    for m, count in enumerate(column):
+        total = exact.multiply(bubble, 2 * m + 1)
+        distinct = Decimal(count)
         connected = exact.multiply(distinct, group)
-        yield [str(r.m), str(total), str(bubble), str(connected), str(distinct)]
-        bubble = exact.multiply(total, 2 * r.m + 2)
-        group = exact.multiply(group, 2 * r.m + 2)
+        yield [str(m), str(total), str(bubble), str(connected), str(distinct)]
+        bubble = exact.multiply(total, 2 * m + 2)
+        group = exact.multiply(group, 2 * m + 2)
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    rows = counting.count_table(args.max_order, method=args.method)
+    column = counting._distinct_column(args.max_order, args.method)
     if args.format == "bfile":
         # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
-        for r in rows[1:]:
-            print(f"{r.m} {_render(r.distinct)}")
+        for m in range(1, len(column)):
+            print(f"{m} {_render(column[m])}")
         return 0
     header = ["m", "total", "bubble", "connected", "distinct"]
-    cells = _count_cells(rows)
+    cells = _count_cells(column)
     if args.format == "table":
         _print_aligned([header, *cells])
     elif args.format == "csv":
@@ -90,7 +91,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
             "max_order": args.max_order,
             "method": args.method,
             "rows": [
-                {"m": r.m, **dict(zip(header[1:], row[1:]))} for r, row in zip(rows, cells)
+                {"m": m, **dict(zip(header[1:], row[1:]))} for m, row in enumerate(cells)
             ],
         }
         _print_json(payload)

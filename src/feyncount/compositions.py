@@ -22,8 +22,9 @@ from collections.abc import Iterator, Mapping
 
 
 # Defined in this module, which imports no other part of the package, so that
-# every module can raise it, refuse a non-integer or an input below its floor
-# by `_at_least`, and write a count, a check or a refused integer by `_render`.
+# every module can raise it, refuse a value of the wrong type by `_of_type` or
+# an input below its floor by `_at_least`, and write a count, a check or a
+# refused integer by `_render`.
 class _Refusal(ValueError):
     """An input or a cap was refused before any work started.
 
@@ -46,13 +47,20 @@ def _render(value) -> str:
     return str(value)
 
 
+def _of_type(value, kind: type, noun: str, name: str) -> None:
+    """The one type guard: refuse `value`, named `name`, unless it is a `kind`,
+    which the refusal calls `noun`.  The value is named by its type alone, as
+    its text may pass the int -> str limit.
+    """
+    if not isinstance(value, kind):
+        raise _Refusal(f"{name} must be {noun}, got {type(value).__name__}")
+
+
 def _at_least(value: int, least: int, name: str) -> None:
     """The one integer guard: refuse `value`, named `name`, unless it is an
-    `int` >= `least`.  A `bool` is an `int` here, as it is to `range`.  A
-    non-int is named by its type alone, as its text may pass the int -> str limit.
+    `int` >= `least`.  A `bool` is an `int` here, as it is to `range`.
     """
-    if not isinstance(value, int):
-        raise _Refusal(f"{name} must be an integer, got {type(value).__name__}")
+    _of_type(value, int, "an integer", name)
     if value < least:
         raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
 
@@ -96,6 +104,7 @@ def multiset_multiplicity(ms: Mapping[int, int]) -> int:
     factorials: how often that multiset occurs in the composition stream
     of its weighted total, and 1 for {}, the one empty composition of 0.
     """
+    _of_type(ms, Mapping, "a mapping", "part multiset")
     for part, mult in ms.items():
         _at_least(part, 1, "part")
         _at_least(mult, 1, "multiplicity")

@@ -32,8 +32,10 @@ size; both multiply back by m!.  The walk runs on E(r, u) = W(r, u)/(r! 2**u u!)
 its 2u multiplier drops out, each operand is r! smaller than its state's
 distinct count D(r, u) = r! E(r, u), and E(1, m) = D(1, m) is the distinct
 count.  It and the Arques-Walsh route return distinct counts, routes 1
-and 2 connected counts; `count_table` multiplies the former by (2m)!! and
-divides the latter by it, where a remainder is possible, in one loop.
+and 2 connected counts.  One loop compares the routes on the connected
+scale and divides a connected column by (2m)!!, where a remainder is
+possible.  `counts` reads only that distinct column; `count_table`, the
+library's four-column table, multiplies it back by (2m)!!.
 
 The walk's distinct counts are memoised once per process in a write-once
 memo, so a per-order query after the first is a lookup.  The other
@@ -253,12 +255,15 @@ def _arques_walsh_sequence(m_max: int) -> list[int]:
     2x**2 A' = A - A**2 - x + xA (Arques and Beraud, Discrete Math. 215,
     2000).  Its coefficients give a(1) = 1 and, for n >= 2,
     a(n) = (2n-3) a(n-1) + sum_{k=1..n-1} a(k) a(n-k),
-    so the sequence is built from itself alone.
+    so the sequence is built from itself alone.  The sum is symmetric in k
+    and n-k: twice its terms with k < n/2, plus a(n/2)**2 when n is even.
     """
     _at_least(m_max, 0, "perturbation order")
     a = [0, 1]
     for n in range(2, m_max + 2):
-        a.append((2 * n - 3) * a[n - 1] + sum(a[k] * a[n - k] for k in range(1, n)))
+        half = sum(a[k] * a[n - k] for k in range(1, (n + 1) // 2))
+        middle = 0 if n & 1 else a[n // 2] ** 2
+        a.append((2 * n - 3) * a[n - 1] + 2 * half + middle)
     return a[1:]
 
 
@@ -294,25 +299,27 @@ class CountRow(namedtuple("CountRow", "m total bubble connected distinct")):
     __slots__ = ()
 
 
-def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
-    """Rows (m, total, bubble, connected, distinct) for 0 <= m <= max_order.
+def _distinct_column(max_order: int, method: str = "walk") -> list[int]:
+    """Distinct counts [order 0 .. max_order] by `method`, as a new list.
 
     `method` is the `--method` name of the route to the counts, or "all",
-    which computes every route, keeps the first one's columns, and raises
+    which builds every route, keeps the first one's column, and raises
     MethodDisagreementError on any connected count that differs.  Each
-    route is built once, and one loop over the orders puts its column on
-    both scales with a running (2m)!!: a distinct count times (2m)!! is the
-    connected count, and a connected count of route 1 or 2 divided by
-    (2m)!! is the distinct count, an exact division that raises
-    ExactnessError where it leaves a remainder.
+    route is built once.  A distinct route's column is the answer as it
+    stands; otherwise one loop over the orders puts each column on the
+    connected scale with a running (2m)!!, and divides a connected column
+    of route 1 or 2 by it, an exact division that raises ExactnessError
+    where it leaves a remainder.
     """
     _at_least(max_order, 0, "perturbation order")
     if method not in _COUNT_METHODS:
         raise _Refusal(f"unknown method, expected one of: {', '.join(_COUNT_METHODS)}")
     names = list(_ROUTES) if method == "all" else [method]
     built = {name: _ROUTES[name](max_order) for name in names}
-    rows = []
-    bubble = group = 1  # (2m)! and (2m)!!
+    distinct = built[names[0]][: max_order + 1]  # a copy: the walk's column is its memo
+    if method in _DISTINCT_ROUTES:
+        return distinct
+    group = 1  # (2m)!!
     for m in range(max_order + 1):
         connected = {
             name: column[m] * group if name in _DISTINCT_ROUTES else column[m]
@@ -324,17 +331,31 @@ def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
                 f"order {m}: "
                 + ", ".join(f"{name}={_render(other)}" for name, other in connected.items())
             )
-        if names[0] in _DISTINCT_ROUTES:
-            distinct = built[names[0]][m]
-        else:
-            distinct, remainder = divmod(value, group)
+        if names[0] not in _DISTINCT_ROUTES:
+            distinct[m], remainder = divmod(value, group)
             if remainder:
                 raise ExactnessError(
                     f"connected count at order {m}: {_render(value)}"
                     f" is not divisible by {_render(group)}"
                 )
+        group *= 2 * m + 2
+    return distinct
+
+
+def count_table(max_order: int, *, method: str = "walk") -> list[CountRow]:
+    """Rows (m, total, bubble, connected, distinct) for 0 <= m <= max_order.
+
+    The library's four-column table: `_distinct_column` takes `method` and
+    refuses, reconciles and raises as it says, and each row is built from
+    its distinct count by running products, (2m+1)!, (2m)! and the
+    connected count distinct * (2m)!!.  The `counts` command reads the
+    distinct column alone and renders the other three from it.
+    """
+    rows = []
+    bubble = group = 1  # (2m)! and (2m)!!
+    for m, distinct in enumerate(_distinct_column(max_order, method)):
         total = bubble * (2 * m + 1)
-        rows.append(CountRow(m, total, bubble, value, distinct))
+        rows.append(CountRow(m, total, bubble, distinct * group, distinct))
         bubble = total * (2 * m + 2)
         group *= 2 * m + 2
     return rows

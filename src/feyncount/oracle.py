@@ -48,7 +48,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .compositions import _Refusal, _at_least, _render
+from .compositions import _Refusal, _at_least, _of_type, _render
 
 #: Largest order enumerated without an explicit override.
 DEFAULT_ORDER_CAP = 4
@@ -199,6 +199,7 @@ def enumerate_matchings(m: int, *, override: bool = False) -> MatchCensus:
 
 def _validate_pairing(pairing: tuple[int, ...], m: int) -> None:
     _at_least(m, 1, "order")
+    _of_type(pairing, tuple, "a tuple", "pairing")
     n = 2 * m + 1
     if (
         len(pairing) != n
@@ -375,6 +376,7 @@ def export_diagram(diagram: CanonicalDiagram) -> str:
     annihilation-slot order, self-loops preserved.  The text depends only
     on the diagram, so repeated exports are byte-identical.
     """
+    _of_type(diagram, CanonicalDiagram, "a CanonicalDiagram", "diagram")
     m = diagram.order
     edges = diagram_edges(diagram.pairing, m)
     names = ["X", "Y"] + [f"v{i}" for i in range(1, m + 1)]

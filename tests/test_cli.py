@@ -158,18 +158,39 @@ def test_default_counts_csv_at_order_600_keeps_its_bytes(capsys):
 
 
 def test_count_cells_are_the_str_of_every_field_past_the_digit_limit():
-    # order 1000's total has 5739 digits, past CPython's 4300-digit default
+    # order 1000's total has 5739 digits, past CPython's 4300-digit default;
+    # the cells come from the distinct column alone, the fields from the table
     rows = counting.count_table(1000)
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        cells = list(cli._count_cells(rows))
+        cells = list(cli._count_cells(counting._distinct_column(1000)))
         assert len(cells) == len(rows)
         for r, row in zip(rows, cells):
             fields = (r.m, r.total, r.bubble, r.connected, r.distinct)
             assert row == [str(value) for value in fields]
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "csv"])
+def test_counts_holds_no_column_but_the_distinct_one(fmt):
+    # at order 1000 the total, bubble and connected integers take about
+    # 3.4 MiB; the distinct column is the walk's, grown first so that its memo
+    # is not counted, and stdout goes to devnull, not to a capture
+    import contextlib
+    import tracemalloc
+
+    counting._walk_counts(1000)
+    with open(os.devnull, "w", encoding="ascii") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            code = main(["counts", "--max-order", "1000", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * 2**20
 
 
 def test_counts_output_is_byte_identical(capsys):
@@ -515,19 +536,19 @@ def test_main_gives_back_the_callers_int_str_digit_limit(
 ):
     # the command runs under the caller's limit too: main never lifts it
     limits = []
-    count_table = counting.count_table
+    distinct_column = counting._distinct_column
 
     def recording(*args, **kwargs):
         limits.append(sys.get_int_max_str_digits())
-        return count_table(*args, **kwargs)
+        return distinct_column(*args, **kwargs)
 
-    monkeypatch.setattr(counting, "count_table", recording)
+    monkeypatch.setattr(counting, "_distinct_column", recording)
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == expected_code
-    # only the case given an order builds a table
+    # only the case given an order builds the distinct column
     assert limits == ([default_digit_limit] if "--max-order" in argv else [])
     assert sys.get_int_max_str_digits() == default_digit_limit
 

@@ -606,6 +606,31 @@ def test_count_table_methods_agree(max_order):
         assert count_table(max_order, method=method) == walk, method
 
 
+@settings(max_examples=30, deadline=None)
+@given(max_order=st.integers(0, 60), method=st.sampled_from(counting._COUNT_METHODS))
+def test_count_table_is_rebuilt_from_the_distinct_column(max_order, method):
+    # the three columns `counts` renders from the distinct one, as integers
+    rows = [
+        counting.CountRow(m, math.factorial(2 * m + 1), math.factorial(2 * m),
+                          distinct * _even_product(2 * m), distinct)
+        for m, distinct in enumerate(counting._distinct_column(max_order, method))
+    ]
+    assert count_table(max_order, method=method) == rows
+
+
+@pytest.mark.parametrize("method", counting._COUNT_METHODS)
+def test_distinct_column_is_a_new_list_of_its_orders_alone(monkeypatch, method):
+    # the walk's memo is longer than the column asked for, and is not handed out
+    monkeypatch.setattr(counting, "_walk_memo", ([1], [1, 0]))
+    assert distinct_connected(8) == DISTINCT[8]
+    column = counting._distinct_column(5, method)
+    assert column == DISTINCT[:6]
+    column[3] = 0
+    column.append(-1)
+    assert [distinct_connected(m) for m in range(9)] == DISTINCT
+    assert counting._distinct_column(5, method) == DISTINCT[:6]
+
+
 # each route's builder on the module, by its `--method` name
 _BUILDERS = {
     "walk": "_walk_counts",

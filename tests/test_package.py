@@ -166,8 +166,18 @@ def test_every_entry_point_refuses_a_non_integer_and_takes_a_bool(name):
         (lambda: coefficient(1, 3.0), "perturbation order must be an integer, got float"),
         (lambda: multiset_multiplicity({1.5: 1}), "part must be an integer, got float"),
         (lambda: multiset_multiplicity({2: 1.0}), "multiplicity must be an integer, got float"),
+        # a container of the wrong type, named by its type as a non-integer is
+        (lambda: feyncount.canonical_form(4.0, 1), "pairing must be a tuple, got float"),
+        (lambda: feyncount.diagram_edges(None, 1), "pairing must be a tuple, got NoneType"),
+        (lambda: feyncount.matching_is_connected([1, 0, 2], 1),
+         "pairing must be a tuple, got list"),
+        (lambda: multiset_multiplicity([(1, 2)]), "part multiset must be a mapping, got list"),
+        (lambda: feyncount.export_diagram((1, (1, 0, 2))),
+         "diagram must be a CanonicalDiagram, got tuple"),
     ],
-    ids=["double_factorial", "coefficient-n", "coefficient-m", "part", "multiplicity"],
+    ids=["double_factorial", "coefficient-n", "coefficient-m", "part", "multiplicity",
+         "canonical_form-pairing", "diagram_edges-pairing", "matching_is_connected-pairing",
+         "part-multiset", "export_diagram-diagram"],
 )
 def test_the_guards_outside_floors_refuse_a_non_integer(call, text):
     with pytest.raises(_Refusal) as exc:
@@ -187,7 +197,8 @@ JUNK = st.one_of(
 PAIRING_ENTRY_POINTS = ("canonical_form", "matching_is_connected", "diagram_edges")
 # Every guard, given the junk at one argument: the 20 entry points of FLOORS,
 # with a fixed pairing where they take one; the guards outside FLOORS; a slot of
-# each pairing entry point; count_table's method; and a diagram's order.
+# each pairing entry point; count_table's method; a diagram's order; and each
+# container: a pairing, a part multiset and a diagram.
 GUARDS = {
     **{name: CALLS.get(name, getattr(feyncount, name)) for name in FLOORS},
     **{name: lambda m, call=getattr(feyncount, name): call((1, 0, 2), m)
@@ -201,9 +212,15 @@ GUARDS = {
        for name in PAIRING_ENTRY_POINTS},
     "count_table-method": lambda method: feyncount.count_table(3, method=method),
     "export_diagram": lambda m: feyncount.export_diagram(CanonicalDiagram(m, (1, 0, 2))),
+    **{f"{name}-pairing": lambda pairing, call=getattr(feyncount, name): call(pairing, 1)
+       for name in PAIRING_ENTRY_POINTS},
+    "part-multiset": multiset_multiplicity,
+    "export_diagram-diagram": feyncount.export_diagram,
 }
 # the arguments whose refusal never states them, so an int of any size is junk there
-UNSTATED = {f"{name}-slot" for name in PAIRING_ENTRY_POINTS} | {"count_table-method"}
+UNSTATED = {
+    f"{name}-{argument}" for name in PAIRING_ENTRY_POINTS for argument in ("slot", "pairing")
+} | {"count_table-method", "part-multiset", "export_diagram-diagram"}
 
 
 @pytest.mark.parametrize("name", sorted(GUARDS))
