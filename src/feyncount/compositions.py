@@ -11,8 +11,10 @@ expansions.  The paper's classificatory sum therefore runs over part
 multisets, the partitions of n, each weighted by how many compositions
 share it (`multiset_multiplicity`): p(n) terms instead of 2**(n-1).
 
-The stream runs in cut-mask order, each composition derived from the
-one before by the successor rule of binary counting.
+The stream runs in cut-mask order.  The successor rule of binary
+counting derives each setting of the high cut bits from the one before,
+and each is joined to every entry of a block of the low bits' settings,
+built once per call, so the per-item work is two tuple joins.
 """
 
 from __future__ import annotations
@@ -65,23 +67,46 @@ def _at_least(value: int, least: int, name: str) -> None:
         raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
 
 
+#: Cut-mask bits of the block `enumerate_compositions` builds once per call.
+_LOW_BITS = 6
+
+
 def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every composition of n exactly once, lazily.
 
     A composition corresponds to an (n-1)-bit mask of cut positions
     between n aligned units; masks are traversed in ascending binary
-    order, so the stream starts at (n,) and ends at (1,)*n.  Each
-    composition is derived from the one before it (Knuth's binary
-    counting step, TAOCP 7.2.1.1): if mask - 1 ends in t one-bits, its
-    composition is (1,)*t + (p, *rest) with p >= 2, and the composition
-    for mask is (t+1, p-1, *rest).  The order is fixed and identical
-    across calls.  n = 0 yields the single empty composition by
-    convention.
+    order, so the stream starts at (n,) and ends at (1,)*n.  The order is
+    fixed and identical across calls.  n = 0 yields the single empty
+    composition by convention.
+
+    The low b = min(n-1, 6) bits, the cuts after units 1..b, vary
+    fastest.  Their settings, the compositions of b+1, are built once per
+    call, each split into its closed head and `left`, the units of its
+    last part before unit b+1.  Each composition (first, *rest) of units
+    b+1..n, the high bits, is joined to every entry of that block as
+    head + (left + first,) + rest.
     """
     _at_least(n, 0, "n")
     if n == 0:
         yield ()
         return
+    low = min(n - 1, _LOW_BITS)
+    block = [(parts[:-1], parts[-1] - 1) for parts in _by_successor(low + 1)]
+    for high in _by_successor(n - low):
+        first, rest = high[0], high[1:]
+        for head, left in block:
+            yield head + (left + first,) + rest
+
+
+def _by_successor(n: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of n >= 1 in ascending cut-mask order.
+
+    Each is derived from the one before it (Knuth's binary counting step,
+    TAOCP 7.2.1.1): if mask - 1 ends in t one-bits, its composition is
+    (1,)*t + (p, *rest) with p >= 2, and the composition for mask is
+    (t+1, p-1, *rest).
+    """
     parts = (n,)
     yield parts
     for mask in range(1, 1 << (n - 1)):

@@ -27,14 +27,16 @@ and `orbit_census`.  It builds the pairings in the rule's own slot
 order rather than reading them one by one, so a prefix that pairings
 share is walked once, with its queue length, labels and canonical
 prefix carried down the tree.  A prefix with nothing left to reach is
-tallied in the loop that built it, completion by completion, without a
-further call.  So is a prefix that one more contraction decides: when
-the next queued slot is the last in the queue and one vertex is left,
-each completion is still generated, and where it sends that slot says
-whether it cuts the vertex off or connects it.  The walk tallies every
-pairing by vacuum size and counts the orbit minimum of each connected
-pairing with p[0] == 1; since the symmetry group moves p[0] transitively
-over 1..2m, one in 2m of every orbit's members lies in that shard.
+tallied in the loop that built it, without a further call: each
+completion is still generated, and unless it is recorded, counted in C.
+So is a prefix that one more contraction decides: when the next queued
+slot is the last in the queue and one vertex is left, each completion
+is still generated, and where it sends that slot says whether it cuts
+the vertex off or connects it.  The walk tallies every pairing by
+vacuum size and counts the orbit minimum of each connected pairing with
+p[0] == 1, handing its shard to that subtree alone; since the symmetry
+group moves p[0] transitively over 1..2m, one in 2m of every orbit's
+members lies in that shard.
 
 Everything here is ground truth by exhaustion: no counting formula is
 consulted.  Costs grow as (2m+1)!, so orders above the default cap are
@@ -47,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
+from operator import countOf
 
 from .compositions import _Refusal, _at_least, _of_type, _render
 
@@ -247,19 +250,22 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
     vertices off, or it holds all slots, so every completion is connected
     and its orbit minimum is the prefix followed by the labels in the
     order taken.  The loop that makes the last contraction of such a
-    prefix tallies it on the spot, one completion, a permutation of the
-    free creation slots, at a time.  So does the loop that makes the
-    contraction one short of that, after which the next queued slot is the
-    last in the queue and one vertex is left unreached: three creation
+    prefix tallies it on the spot.  Each completion, a permutation of the
+    free creation slots, is still generated; all have one vacuum size, so
+    unless their orbit minima are recorded, `operator.countOf` counts them
+    in C by their lengths.  The loop that makes the contraction one short
+    of that tallies on the spot too, after which the next queued slot is
+    the last in the queue and one vertex is left unreached: three creation
     slots are free, the last vertex's two and one numbered slot, and where
     each completion sends that next slot decides it.  Sent to the numbered
     slot, it closes the queue and cuts the last vertex off; sent to either
     slot of the vertex, it numbers that slot n - 2 and connects the
-    pairing.
+    pairing.  Each class is counted from its own completions.
 
     Given an empty `shard`, each connected pairing with p[0] == 1 adds 1
     to its orbit minimum there, and reaches the connected tally through
-    the shard's total rather than one by one.
+    the shard's total rather than one by one.  The first contraction
+    decides it: the subtree with p[0] == 1 alone is handed the shard.
     """
     n = 2 * m + 1
     parts = [0] * (m + 1)
@@ -269,46 +275,53 @@ def _walk_pairings(m: int, shard: Counter | None = None) -> list[int]:
     prefix = [0] * n  # the i-th contraction's new number, up to the current i
     permutations = itertools.permutations
 
-    def extend(i: int, queued: int) -> None:
+    def extend(i: int, queued: int, record: Counter | None) -> None:
         for j in range(len(free)):
             c = free.pop(j)
+            if not i:
+                # slot 1 is numbered 1 exactly when p[0] == 1
+                record = shard if c == 1 else None
             reached = queued
             if label[c] < 0:
                 label[c], label[partner[c]] = queued, queued + 1
                 reached += 2
             prefix[i] = label[c]
-            # slot 1 is numbered 1 exactly when p[0] == 1
-            recording = shard is not None and label[1] == 1
             if reached == i + 2 == n - 2:
                 # the next queued slot is the last, and one vertex is left:
                 # it takes the one numbered free slot, cutting that vertex
                 # off, or reaches the vertex, which is numbered n - 2
-                if recording:
+                if record is not None:
                     # the last vertex's slots read -1 % n == n - 1: the one
                     # reached is numbered n - 2, and its partner n - 1
                     head = (*prefix[: i + 1], n - 2)
                     for tail in permutations([label[d] % n for d in free]):
                         if tail[0] == n - 1:
-                            shard[head + tail[1:]] += 1
+                            record[head + tail[1:]] += 1
                         else:
                             parts[1] += 1
                 else:
+                    connected = cut = 0
                     for tail in permutations(free):
-                        parts[label[tail[0]] >= 0] += 1  # vacuum size 1 or 0
+                        if label[tail[0]] < 0:
+                            connected += 1
+                        else:
+                            cut += 1
+                    parts[0] += connected
+                    parts[1] += cut
             elif i + 1 < reached < n:
-                extend(i + 1, reached)
-            elif reached == n and recording:
+                extend(i + 1, reached, record)
+            elif reached == n and record is not None:
                 head = tuple(prefix[: i + 1])
-                shard.update(map(head.__add__, permutations([label[d] for d in free])))
+                record.update(map(head.__add__, permutations([label[d] for d in free])))
             else:
-                vacuum = (n - reached) // 2
-                for _ in permutations(free):
-                    parts[vacuum] += 1
+                # one class: each completion is still generated, and
+                # counted in C by its length
+                parts[(n - reached) // 2] += countOf(map(len, permutations(free)), len(free))
             if reached > queued:
                 label[c] = label[partner[c]] = -1
             free.insert(j, c)
 
-    extend(0, 1)
+    extend(0, 1, None)
     if shard is not None:
         parts[0] += shard.total()
     return parts

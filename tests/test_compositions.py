@@ -1,6 +1,7 @@
 """Composition enumeration, counting, and multiset multiplicities."""
 
 import hashlib
+import itertools
 import sys
 from collections import Counter
 
@@ -70,9 +71,18 @@ def _decoded_compositions(n):
         yield tuple(parts)
 
 
-@pytest.mark.parametrize("n", range(17))
+# past n = 7 every setting of the high cut bits is joined to the low block
+@pytest.mark.parametrize("n", range(21))
 def test_successor_rule_matches_the_mask_decoder(n):
     assert list(enumerate_compositions(n)) == list(_decoded_compositions(n))
+
+
+def test_stream_stays_lazy():
+    # 2**59 compositions of 60: only those taken are built
+    assert next(enumerate_compositions(60)) == (60,)
+    assert list(itertools.islice(enumerate_compositions(60), 5000)) == list(
+        itertools.islice(_decoded_compositions(60), 5000)
+    )
 
 
 def test_listing_of_sixteen_is_pinned(capsys):

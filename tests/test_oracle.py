@@ -314,6 +314,44 @@ def test_walk_generates_every_pairing_one_by_one(monkeypatch, m):
         assert len(generated) == math.factorial(2 * m + 1)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_walk_counts_no_completion_without_its_tuple(monkeypatch, m):
+    # each call to itertools.permutations loses its last tuple, so a tally
+    # taken from the tuples falls short by one per call, with and without
+    # the shard; a class counted as a factorial, or derived as what is left
+    # of the other, would not fall short
+    permutations = itertools.permutations
+    calls = []
+
+    def all_but_the_last(*args):
+        calls.append(None)
+        tails = permutations(*args)
+        held = next(tails)
+        for tail in tails:
+            yield held
+            held = tail
+
+    monkeypatch.setattr(itertools, "permutations", all_but_the_last)
+    for args in ((), (Counter(),)):
+        calls.clear()
+        parts = oracle._walk_pairings(m, *args)
+        assert sum(parts) == math.factorial(2 * m + 1) - len(calls)
+
+
+def test_walk_holds_no_list_of_completions():
+    # the largest leaf at order 4 completes 8 free slots: a list of its
+    # 8! completions would take megabytes
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        enumerate_matchings(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 def test_census_representatives_are_canonical():
     for m in (1, 2, 3):
         for diagram in orbit_census(m).representatives:
