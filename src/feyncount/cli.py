@@ -4,19 +4,27 @@ composition listings, and DOT export of canonical diagrams.
 Data goes to stdout, errors and notes to stderr.  Machine-readable
 formats always carry counts as exact decimal strings, never as native
 numbers.  Identical invocations produce byte-identical output.
+
+Each subcommand loads only the modules it runs: `compositions` loads this
+module and `compositions` alone, `counts` adds `counting`, `oracle` and
+`export` add `oracle` but never `counting`, and `verify` loads all four.
+The parser reads the `--method` names and the override cap from
+`compositions`, which every command loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
-from . import counting, oracle
-from .compositions import _Refusal, _at_least, _render, count_compositions, enumerate_compositions
-from .counting import ExactnessError, MethodDisagreementError, VerificationReport
+from .compositions import (
+    _COUNT_METHODS, OVERRIDE_ORDER_CAP, _Refusal, _at_least, _render, count_compositions,
+    enumerate_compositions,
+)
 
 # Verify runs the coefficient-recursion suite no further than this order, which
 # bounds its m(m+1)/2 rows, summed over the p(m) partitions of each order: the suite
@@ -26,8 +34,11 @@ _COEFFICIENT_SUITE_CAP = 20
 _COMPOSITION_SUITE_CAP = 16
 
 
-def _print_aligned(rows: list[Sequence[str]]) -> None:
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+def _print_aligned(rows: Iterable[Sequence[str]], widths: Sequence[int] | None = None) -> None:
+    # right-aligned in columns as wide as `widths`, or as each one's widest cell
+    if widths is None:
+        rows = list(rows)
+        widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.rjust(width) for width, cell in zip(widths, row)))
 
@@ -73,33 +84,49 @@ def _count_cells(column: list[int]) -> Iterator[list[str]]:
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
+    from . import counting
+
     column = counting._distinct_column(args.max_order, args.method)
     if args.format == "bfile":
         # OEIS-style b-file of the distinct-diagram sequence, indexed from 1
         for m in range(1, len(column)):
             print(f"{m} {_render(column[m])}")
         return 0
+    # each row is printed as it is made, so the rows' text is never all alive
     header = ["m", "total", "bubble", "connected", "distinct"]
     cells = _count_cells(column)
     if args.format == "table":
-        _print_aligned([header, *cells])
+        # every column's text grows with m, so the widest cells are the
+        # header's or the last row's: (2M+1)!, (2M)!, its distinct count
+        # times (2M)!!, and that count
+        m = len(column) - 1
+        last = [str(m), *map(_render, (math.factorial(2 * m + 1), math.factorial(2 * m),
+                                       column[m] * counting.double_factorial(2 * m), column[m]))]
+        widths = [max(len(name), len(cell)) for name, cell in zip(header, last)]
+        _print_aligned(chain([header], cells), widths)
     elif args.format == "csv":
-        # each row is printed as it is made, so its text is never all alive
         _print_csv(chain([header], cells))
     elif args.format == "json":
-        payload = {
-            "max_order": args.max_order,
-            "method": args.method,
-            "rows": [
-                {"m": m, **dict(zip(header[1:], row[1:]))} for m, row in enumerate(cells)
-            ],
-        }
-        _print_json(payload)
+        import json
+
+        # the bytes of json.dumps(payload, indent=2): the frame of a one-row
+        # payload, split at its row, around each row indented to its depth
+        encode = json.JSONEncoder(indent=2).encode
+        head, _, tail = encode(
+            {"max_order": args.max_order, "method": args.method, "rows": [None]}
+        ).partition("null")
+        print(head, end="")
+        for m, row in enumerate(cells):
+            text = encode({"m": m, **dict(zip(header[1:], row[1:]))})
+            print(",\n    " if m else "", text.replace("\n", "\n    "), sep="", end="")
+        print(tail)
     return 0
 
 
-def _verify_report(max_order: int) -> VerificationReport:
-    report = VerificationReport()
+def _verify_report(max_order: int):
+    from . import counting, oracle
+
+    report = counting.VerificationReport()
     report.extend(counting.verify_convolution(max_order))
     report.extend(counting.verify_divisibility(max_order))
     report.extend(counting.verify_rewrite_identities(max_order))
@@ -160,7 +187,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall else 1
 
 
-def _write_dot_files(census: oracle.OrbitCensus, out_dir: str) -> int:
+def _write_dot_files(census, out_dir: str) -> int:
+    from . import oracle
+
     os.makedirs(out_dir or os.curdir, exist_ok=True)  # "" names the working directory
     for index, diagram in enumerate(census.representatives, start=1):
         name = f"diagram_m{census.order}_{index}.dot"
@@ -170,6 +199,8 @@ def _write_dot_files(census: oracle.OrbitCensus, out_dir: str) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     m = args.order
     orbits = None
     # --dot-dir writes the orbits, so above its cap the census refuses the order
@@ -221,6 +252,8 @@ def cmd_compositions(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from . import oracle
+
     census = oracle.orbit_census(args.order)
     written = _write_dot_files(census, args.out_dir)
     print(f"wrote {written} DOT files to {args.out_dir}")
@@ -243,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counts", help="print the per-order count table")
     p.add_argument("--max-order", type=int, required=True, metavar="M")
-    p.add_argument("--method", choices=counting._COUNT_METHODS, default="walk")
+    p.add_argument("--method", choices=_COUNT_METHODS, default="walk")
     p.add_argument(
         "--format", choices=["table", "csv", "json", "bfile"], default="table"
     )
@@ -257,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force enumeration census at one order")
     p.add_argument("--order", type=int, required=True, metavar="M")
     p.add_argument("--override", action="store_true",
-                   help=f"allow order {oracle.OVERRIDE_ORDER_CAP} enumeration")
+                   help=f"allow order {OVERRIDE_ORDER_CAP} enumeration")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--dot-dir", metavar="DIR",
                    help="also write each canonical diagram as a DOT file")
@@ -294,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MethodDisagreementError, ExactnessError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,6 +67,16 @@ def _at_least(value: int, least: int, name: str) -> None:
         raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
 
 
+# Defined here, beside the guards, so that the command line's parser reads
+# them without loading `counting`, which keys its routes by these names, or
+# `oracle`, which enforces the cap; each module binds its own name too.
+#: The `--method` names: each route to the counts, in the order the command
+#: line lists them, then "all".
+_COUNT_METHODS = ("walk", "recurrence", "closed-form", "arques-walsh", "all")
+#: Absolute ceiling of the Wick enumeration; above this even an override is refused.
+OVERRIDE_ORDER_CAP = 5
+
+
 #: Cut-mask bits of the block `enumerate_compositions` builds once per call.
 _LOW_BITS = 6
 

@@ -58,13 +58,15 @@ import math
 import threading
 from collections import namedtuple
 
-from .compositions import _Refusal, _at_least, _part_multisets, _render, multiset_multiplicity
+from .compositions import (
+    _COUNT_METHODS, _Refusal, _at_least, _part_multisets, _render, multiset_multiplicity,
+)
 
-class ExactnessError(Exception):
+class ExactnessError(ValueError):
     """An exact-division guarantee failed; this signals an implementation bug."""
 
 
-class MethodDisagreementError(Exception):
+class MethodDisagreementError(ValueError):
     """Two counting methods produced different values for the same order."""
 
 
@@ -279,18 +281,17 @@ def distinct_connected(m: int) -> int:
 
 
 # Each route's builder for orders 0..M, by its `--method` name, in the order
-# the command line lists them.  Each returns the one column it builds: the
+# `_COUNT_METHODS` lists them.  Each returns the one column it builds: the
 # routes in `_DISTINCT_ROUTES` distinct counts, routes 1 and 2 connected
 # counts.  An entry looks its route up when called, so a route patched on
 # this module is the one the table runs.
-_ROUTES = {
-    "walk": lambda m_max: _walk_counts(m_max),
-    "recurrence": lambda m_max: connected_sequence(m_max),
-    "closed-form": lambda m_max: _closed_form_sequence(m_max),
-    "arques-walsh": lambda m_max: _arques_walsh_sequence(m_max),
-}
+_ROUTES = dict(zip(_COUNT_METHODS, (
+    lambda m_max: _walk_counts(m_max),
+    lambda m_max: connected_sequence(m_max),
+    lambda m_max: _closed_form_sequence(m_max),
+    lambda m_max: _arques_walsh_sequence(m_max),
+)))
 _DISTINCT_ROUTES = ("walk", "arques-walsh")
-_COUNT_METHODS = (*_ROUTES, "all")
 
 
 class CountRow(namedtuple("CountRow", "m total bubble connected distinct")):

@@ -51,12 +51,10 @@ import math
 from collections import Counter, namedtuple
 from operator import countOf
 
-from .compositions import _Refusal, _at_least, _of_type, _render
+from .compositions import OVERRIDE_ORDER_CAP, _Refusal, _at_least, _of_type, _render
 
 #: Largest order enumerated without an explicit override.
 DEFAULT_ORDER_CAP = 4
-#: Absolute ceiling; above this even an override is refused.
-OVERRIDE_ORDER_CAP = 5
 
 
 class OrderCapError(_Refusal):

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, stream separation."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feyncount import cli, counting, oracle
 from feyncount.cli import main
@@ -173,12 +177,12 @@ def test_count_cells_are_the_str_of_every_field_past_the_digit_limit():
         sys.set_int_max_str_digits(previous)
 
 
-@pytest.mark.parametrize("fmt", ["bfile", "csv"])
+@pytest.mark.parametrize("fmt", ["bfile", "csv", "table", "json"])
 def test_counts_holds_no_column_but_the_distinct_one(fmt):
     # at order 1000 the total, bubble and connected integers take about
-    # 3.4 MiB; the distinct column is the walk's, grown first so that its memo
-    # is not counted, and stdout goes to devnull, not to a capture
-    import contextlib
+    # 3.4 MiB, and the text of every row 9 MiB as a table and 28 MiB as json;
+    # the distinct column is the walk's, grown first so that its memo is not
+    # counted, and stdout goes to devnull, not to a capture
     import tracemalloc
 
     counting._walk_counts(1000)
@@ -191,6 +195,40 @@ def test_counts_holds_no_column_but_the_distinct_one(fmt):
             tracemalloc.stop()
     assert code == 0
     assert peak < 2.5 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    max_order=st.integers(0, 60),
+    method=st.sampled_from(counting._COUNT_METHODS),
+    fmt=st.sampled_from(["table", "json"]),
+)
+@example(max_order=0, method="walk", fmt="table")
+@example(max_order=10, method="walk", fmt="table")
+@example(max_order=0, method="all", fmt="json")
+def test_streamed_table_and_json_are_the_bytes_of_all_rows_at_once(max_order, method, fmt):
+    # the reference holds every row's text: aligned to each column's widest
+    # cell, or dumped as one payload
+    header = ["m", "total", "bubble", "connected", "distinct"]
+    rows = [[str(value) for value in row] for row in counting.count_table(max_order, method=method)]
+    if fmt == "table":
+        widths = [max(len(row[col]) for row in [header, *rows]) for col in range(len(header))]
+        expected = "".join(
+            "  ".join(cell.rjust(width) for width, cell in zip(widths, row)) + "\n"
+            for row in [header, *rows]
+        )
+    else:
+        payload = {
+            "max_order": max_order,
+            "method": method,
+            "rows": [{"m": m, **dict(zip(header[1:], row[1:]))} for m, row in enumerate(rows)],
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["counts", "--max-order", str(max_order), "--method", method, "--format", fmt])
+    assert code == 0
+    assert out.getvalue() == expected
 
 
 def test_counts_output_is_byte_identical(capsys):
@@ -567,6 +605,34 @@ def test_an_integer_argument_past_the_digit_limit_is_refused_by_argparse(monkeyp
     assert "error: argument --max-order: invalid int value: '10000" in err
 
 
+def test_count_faults_are_value_errors():
+    # so that `main` reports them, as any fault, without importing `counting`
+    assert issubclass(counting.ExactnessError, ValueError)
+    assert issubclass(counting.MethodDisagreementError, ValueError)
+
+
+@pytest.mark.parametrize(
+    ("method", "line"),
+    [
+        ("all", "order 5: walk=31342080, recurrence=31342081, closed-form=31342080,"
+                " arques-walsh=31342080"),
+        ("recurrence", "connected count at order 5: 31342081 is not divisible by 3840"),
+    ],
+)
+def test_a_route_fault_exits_1_with_its_error_line(capsys, monkeypatch, method, line):
+    # one pairing too many at order 5 in route 1
+    route = counting.connected_sequence
+
+    def planted(m_max):
+        values = route(m_max)
+        values[5] += 1
+        return values
+
+    monkeypatch.setattr(counting, "connected_sequence", planted)
+    code, out, err = run(capsys, "counts", "--max-order", "5", "--method", method)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
 def test_compositions_rejects_zero(capsys):
     code, _, err = run(capsys, "compositions", "--n", "0")
     assert code == 2
@@ -640,6 +706,16 @@ def test_help_goes_to_stdout_and_exits_zero(capsys):
     assert err == ""
 
 
+def test_oracle_help_names_the_override_cap(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert "  --override            allow order 5 enumeration\n" in out
+    assert err == ""
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -675,37 +751,40 @@ def test_records_are_immutable_named_tuples(make, text):
     assert list(record._asdict()) == list(record._fields)
 
 
-def test_startup_loads_only_the_modules_a_command_uses():
-    # -S keeps the site module's .pth files from importing modules of their own
+def test_startup_loads_only_the_modules_a_command_uses(tmp_path):
+    # each command in its own fresh interpreter, which reports the package's
+    # modules and the watched stdlib ones after the package's import, the
+    # command line's, and the command; -S keeps the site module's .pth files
+    # from importing modules of their own
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "watched = ('dataclasses', 'inspect', 'json', 'pathlib', 'decimal')\n"
         "def report():\n"
-        "    print(*[name for name in watched if name in sys.modules], sep=',', file=sys.stderr)\n"
-        "def package():\n"
-        "    print(*sorted(name.partition('.')[2] for name in sys.modules if name.startswith('feyncount.')), sep=',')\n"
+        "    package = sorted(name.partition('.')[2] for name in sys.modules if name.startswith('feyncount.'))\n"
+        "    stdlib = [name for name in watched if name in sys.modules]\n"
+        "    print(','.join(package), ','.join(stdlib), sep=';', file=sys.stderr)\n"
         "import feyncount\n"
-        "package()\n"
-        "feyncount.distinct_connected(3)\n"
-        "package()\n"
-        "from feyncount import cli\n"
-        "package()\n"
         "report()\n"
-        "for argv in sys.argv[1:]:\n"
-        "    assert cli.main(argv.split()) == 0\n"
-        "    report()\n"
+        "from feyncount import cli\n"
+        "report()\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "report()\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, "compositions --n 1",
-         "counts --max-order 4 --format csv", "verify --max-order 2 --format json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["", "decimal", "decimal", "json,decimal"]
-    # the package's own modules, reported before any command writes to stdout:
-    # a per-order count never compiles the oracle, the command loads it all
-    assert proc.stdout.splitlines()[:3] == [
-        "", "compositions,counting", "cli,compositions,counting,oracle",
-    ]
+    commands = {
+        "compositions --n 1": "cli,compositions;decimal",
+        "counts --max-order 4 --format csv": "cli,compositions,counting;decimal",
+        "oracle --order 3 --format json": "cli,compositions,oracle;json",
+        f"export --order 1 --out-dir {tmp_path}": "cli,compositions,oracle;",
+        "verify --max-order 2 --format json": "cli,compositions,counting,oracle;json,decimal",
+    }
+    for argv, loaded in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv.split()],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the package's import loads none of its modules, the command line's
+        # only its own and the shared guards, and each command what it runs
+        assert proc.stderr.splitlines() == [";", "cli,compositions;", loaded], argv
