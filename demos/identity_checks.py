@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Exercise every identity suite the counting module provides.
+"""Exercise every identity suite the checks module provides.
 
 Each suite returns a report of named exact-equality checks:
 

@@ -36,6 +36,8 @@ _EXPORTS = {
         "distinct_connected",
         "double_factorial",
         "total_diagrams",
+    ),
+    "checks": (
         "verify_coefficient_recursion",
         "verify_convolution",
         "verify_divisibility",

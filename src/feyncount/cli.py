@@ -1,4 +1,4 @@
-"""Command-line front end: count tables, identity suites, oracle runs,
+"""Command-line front end: count tables, the `verify` report, oracle runs,
 composition listings, and DOT export of canonical diagrams.
 
 Data goes to stdout, errors and notes to stderr.  Machine-readable
@@ -7,9 +7,10 @@ numbers.  Identical invocations produce byte-identical output.
 
 Each subcommand loads only the modules it runs: `compositions` loads this
 module and `compositions` alone, `counts` adds `counting`, `oracle` and
-`export` add `oracle` but never `counting`, and `verify` loads all four.
-The parser reads the `--method` names and the override cap from
-`compositions`, which every command loads.
+`export` add `oracle` but never `counting`, and `verify` loads all five:
+its suites and their caps live in `checks`, and this module only renders
+their report.  The parser reads the `--method` names and the override cap
+from `compositions`, which every command loads.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from .compositions import (
     _COUNT_METHODS, OVERRIDE_ORDER_CAP, _Refusal, _at_least, _render, count_compositions,
     enumerate_compositions,
 )
 
-# Verify runs the coefficient-recursion suite no further than this order, which
-# bounds its m(m+1)/2 rows, summed over the p(m) partitions of each order: the suite
-# took 0.18 s at order 30 and 1.6 s at 40 (Python 3.11.7, 2 shared cores).
-_COEFFICIENT_SUITE_CAP = 20
-# verify's composition rows stream all 2**(n-1) compositions of each n: 65,535 up to n = 16
-_COMPOSITION_SUITE_CAP = 16
+# verify --format json encodes this many checks per call: at order 18 that took
+# the time of one dump of the payload, 1.4 ms, and one call per check 3.6 ms
+# (Python 3.11.7); at order 300 the text alive at once peaked at 0.3 MiB
+_JSON_CHECKS_PER_ENCODE = 32
 
 
 def _print_aligned(rows: Iterable[Sequence[str]], widths: Sequence[int] | None = None) -> None:
@@ -54,6 +53,28 @@ def _print_json(payload: dict) -> None:
     import json
 
     print(json.dumps(payload, indent=2))
+
+
+def _print_json_list(payload: dict, items: Iterable[dict], per_encode: int) -> None:
+    """Print the bytes of json.dumps(payload, indent=2) with `items` in place
+    of the payload's one list, a top-level value given as [None], encoding
+    `per_encode` items at a time, so no more of their text is alive at once.
+
+    The frame is the payload's text split at that None.  Each group of
+    items is encoded as a list of its own, whose brackets are cut off and
+    whose lines are indented two more, to the list's depth in the payload.
+    """
+    # imported here so that processes printing no json never load it
+    import json
+
+    encode = json.JSONEncoder(indent=2).encode
+    head, _, tail = encode(payload).partition("null")
+    print(head, end="")
+    items, separator = iter(items), ""
+    while group := list(islice(items, per_encode)):
+        print(separator, encode(group)[4:-2].replace("\n", "\n  "), sep="", end="")
+        separator = ",\n    "
+    print(tail)
 
 
 def _count_cells(column: list[int]) -> Iterator[list[str]]:
@@ -107,75 +128,25 @@ def cmd_counts(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _print_csv(chain([header], cells))
     elif args.format == "json":
-        import json
-
-        # the bytes of json.dumps(payload, indent=2): the frame of a one-row
-        # payload, split at its row, around each row indented to its depth
-        encode = json.JSONEncoder(indent=2).encode
-        head, _, tail = encode(
-            {"max_order": args.max_order, "method": args.method, "rows": [None]}
-        ).partition("null")
-        print(head, end="")
-        for m, row in enumerate(cells):
-            text = encode({"m": m, **dict(zip(header[1:], row[1:]))})
-            print(",\n    " if m else "", text.replace("\n", "\n    "), sep="", end="")
-        print(tail)
+        frame = {"max_order": args.max_order, "method": args.method, "rows": [None]}
+        rows = ({"m": m, **dict(zip(header[1:], row[1:]))} for m, row in enumerate(cells))
+        _print_json_list(frame, rows, 1)
     return 0
-
-
-def _verify_report(max_order: int):
-    from . import counting, oracle
-
-    report = counting.VerificationReport()
-    report.extend(counting.verify_convolution(max_order))
-    report.extend(counting.verify_divisibility(max_order))
-    report.extend(counting.verify_rewrite_identities(max_order))
-    report.extend(counting.verify_three_path(max_order))
-
-    coefficient_cap = min(max_order, _COEFFICIENT_SUITE_CAP)
-    if coefficient_cap < max_order:
-        print(
-            f"note: coefficient-recursion suite capped at order {coefficient_cap}",
-            file=sys.stderr,
-        )
-    report.extend(counting.verify_coefficient_recursion(coefficient_cap))
-
-    for n in range(1, min(max_order, _COMPOSITION_SUITE_CAP) + 1):
-        streamed = sum(1 for _ in enumerate_compositions(n))
-        report.add("composition-count", f"n={n}", 1 << (n - 1), streamed)
-        report.add("composition-count-formula", f"n={n}", 1 << (n - 1), count_compositions(n))
-
-    for m in range(1, min(max_order, oracle.DEFAULT_ORDER_CAP) + 1):
-        orbits = oracle.orbit_census(m)
-        census = orbits.matches
-        report.add("wick-total", f"m={m}", counting.total_diagrams(m), census.total)
-        report.add(
-            "wick-connected", f"m={m}", counting.connected_recurrence(m), census.connected
-        )
-        report.add("wick-vacuum", f"m={m}", counting.bubble_diagrams(m), census.vacuum)
-        distinct = counting.arques_walsh(m)
-        report.add("orbit-count", f"m={m}", distinct, orbits.orbit_count)
-        report.add(
-            "orbit-histogram",
-            f"m={m}",
-            {counting.double_factorial(2 * m): distinct},
-            orbits.orbit_sizes,
-        )
-    return report
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _at_least(args.max_order, 1, "--max-order")
-    report = _verify_report(args.max_order)
+    from . import checks
+
+    note = checks.cap_note(args.max_order)
+    if note is not None:
+        print(f"note: {note}", file=sys.stderr)
+    report = checks.run(args.max_order)
     passed = sum(1 for c in report.checks if c.passed)
     if args.format == "json":
-        payload = {
-            "overall": report.overall,
-            "passed": passed,
-            "total": len(report.checks),
-            "checks": [c._asdict() for c in report.checks],
-        }
-        _print_json(payload)
+        frame = {"overall": report.overall, "passed": passed, "total": len(report.checks),
+                 "checks": [None]}
+        _print_json_list(frame, (c._asdict() for c in report.checks), _JSON_CHECKS_PER_ENCODE)
     else:
         rows = [["check", "params", "expected", "actual", "status"]]
         rows += [

@@ -49,7 +49,8 @@ quadratic recurrence.  Only the walk, and the oracle's exhaustive census,
 derive the counts independently of that series.
 
 All arithmetic is exact; counts are plain Python integers and must never
-pass through floating point.
+pass through floating point.  `Check` and `VerificationReport` are the
+records that `verify`'s suites, in `feyncount.checks`, fill.
 """
 
 from __future__ import annotations
@@ -385,107 +386,3 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(check.passed for check in self.checks)
-
-
-def verify_convolution(m_max: int) -> VerificationReport:
-    """Check (2m+1)! = sum_n binom(m,n) (2n)! * connected(m-n) for 1 <= m <= m_max.
-
-    The connected counts are the walk's, derived from the pairing model, so
-    the rows test it against the vacuum split of the (2m+1)! pairings; the
-    recurrence inverts this identity and would pass by construction.  Over
-    2**m m!, with c(k) = 2**k k! D(k), the split is the paper's (2m+1)!! =
-    sum_n (2n-1)!! D(m-n) on the walk's distinct counts D.  Each row sums
-    that and multiplies it back, the binomial sum's integer for any D.
-    """
-    _at_least(m_max, 1, "m_max")
-    distinct, odd = _walk_counts(m_max), [1]  # odd[n] = (2n-1)!!
-    report = VerificationReport()
-    for m in range(1, m_max + 1):
-        odd.append(odd[-1] * (2 * m - 1))
-        rebuilt = double_factorial(2 * m) * sum(odd[n] * distinct[m - n] for n in range(m + 1))
-        report.add("convolution", f"m={m}", math.factorial(2 * m + 1), rebuilt)
-    return report
-
-
-def verify_coefficient_recursion(m_max: int) -> VerificationReport:
-    """Check the coefficient recursion for every pair 1 <= s <= m <= m_max.
-
-    The direct evaluation of the weight at (s, m+1) must equal
-    -sum_{n=s}^{m} binom(m+1, m-n+1) * (2(m-n+1))! * weight(s, n).
-    As weight(s, n) = n!/s! S(n-s), S the classificatory sum, both sides are
-    (m+1)!/s! times a value of j = m+1-s alone: S(j), and -sum_{k=1..j}
-    (2k)!/k! S(j-k).  Each is taken once per j and multiplied back per row,
-    which gives the unscaled sides' integers for any S, so a failing pair
-    reads the same.  Failing pairs are reported, not raised.
-    """
-    _at_least(m_max, 1, "m_max")
-    # (2k)!/k! from math.perm, not from the kernel the classificatory sum steps
-    sums = [_classificatory_sum(j) for j in range(m_max + 1)]
-    recursed = [
-        -sum(math.perm(2 * k, k) * sums[j - k] for k in range(1, j + 1)) for j in range(m_max + 1)
-    ]
-    report = VerificationReport()
-    for m in range(1, m_max + 1):
-        for s, j in zip(range(1, m + 1), range(m, 0, -1)):
-            scale = math.perm(m + 1, j)  # (m+1)!/s!
-            report.add(
-                "coefficient-recursion", f"s={s} m={m}", scale * sums[j], scale * recursed[j]
-            )
-    return report
-
-
-def verify_rewrite_identities(m_max: int) -> VerificationReport:
-    """Check the factorial rewrites used to bridge the two counting formulas.
-
-    For 1 <= n <= m_max: total(n) = (n!/2) * bubble(n+1)/(n+1)!  and
-    bubble(n) = bubble(1) * bubble(n) / 2, both with exact division.
-    """
-    _at_least(m_max, 1, "m_max")
-    report = VerificationReport()
-    for n in range(1, m_max + 1):
-        numerator = math.factorial(n) * bubble_diagrams(n + 1)
-        denominator = 2 * math.factorial(n + 1)
-        quotient, remainder = divmod(numerator, denominator)
-        report.add(
-            "total-rewrite",
-            f"n={n}",
-            total_diagrams(n),
-            quotient if remainder == 0 else f"{_render(numerator)}/{_render(denominator)}",
-        )
-        halved, remainder = divmod(bubble_diagrams(1) * bubble_diagrams(n), 2)
-        report.add(
-            "bubble-rewrite",
-            f"n={n}",
-            bubble_diagrams(n),
-            halved if remainder == 0 else "non-integer",
-        )
-    return report
-
-
-def verify_three_path(m_max: int) -> VerificationReport:
-    """Check recurrence = closed form = (2m)!! * Arques-Walsh for 1 <= m <= m_max."""
-    _at_least(m_max, 1, "m_max")
-    connected = connected_sequence(m_max)
-    closed, distinct = _closed_form_sequence(m_max), _arques_walsh_sequence(m_max)
-    report, group = VerificationReport(), 1  # (2m)!!
-    for m in range(1, m_max + 1):
-        group *= 2 * m
-        report.add("closed-form-agreement", f"m={m}", connected[m], closed[m])
-        report.add("arques-walsh-agreement", f"m={m}", connected[m], group * distinct[m])
-    return report
-
-
-def verify_divisibility(m_max: int) -> VerificationReport:
-    """Check that (2m)!! divides the recurrence's connected count for 1 <= m <= m_max.
-
-    Every orbit of the relabeling group has (2m)!! members.  Route 1 builds
-    c(m) as m! times its scaled count, so m! divides it by construction but
-    2**m does not; on the walk's counts the rows would hold by construction.
-    """
-    _at_least(m_max, 1, "m_max")
-    connected = connected_sequence(m_max)
-    report = VerificationReport()
-    for m in range(1, m_max + 1):
-        remainder = connected[m] % double_factorial(2 * m)
-        report.add("divisibility", f"m={m}", 0, remainder)
-    return report

@@ -23,8 +23,8 @@ from feyncount.counting import (
     distinct_connected,
     double_factorial,
     total_diagrams,
-    verify_coefficient_recursion,
 )
+from feyncount.checks import verify_coefficient_recursion
 from feyncount.oracle import enumerate_matchings, orbit_census
 
 DISTINCT_SEQUENCE = [2, 10, 74, 706]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feyncount import cli, counting, oracle
+from feyncount import checks, cli, counting, oracle
 from feyncount.cli import main
 
 # sha256 of `counts --max-order 300` stdout as the unscaled recurrence printed it;
@@ -35,7 +35,7 @@ COUNTS_600_CSV_SHA256 = "039b4e1c7fed7d89b3200eed60c335c81def0afbd5f95ab8d6b5c65
 # coefficient printed it
 VERIFY_20_SHA256 = "1c6d80864b452af7660fb64f6bf1bddff4daf350b8a1c3a2982f6f56ba83bffb"
 # sha256 of `verify --max-order 20` stdout as a table (384 lines, 382 checks),
-# whose three-path and wick-connected rows read the recurrence
+# taken when the three-path and wick-connected rows read the recurrence
 VERIFY_20_TABLE_SHA256 = "9860e8f7cf71b524fe9ad25344a5b0846b85df8ff2821ef25d5d20a2dbdfa6d4"
 # sha256 of `verify --max-order 100 --format json` stdout (862 checks) as the
 # shared factorial table fed the convolution, rewrite and three-path rows
@@ -289,18 +289,57 @@ def test_verify_stdout_is_pinned_at_order_300(capsys):
 
 
 def test_verify_caps_only_the_coefficient_suite(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_COEFFICIENT_SUITE_CAP", 2)
+    monkeypatch.setattr(checks, "_COEFFICIENT_SUITE_CAP", 2)
     code, out, err = run(capsys, "verify", "--max-order", "4", "--format", "json")
     assert code == 0
-    checks = json.loads(out)["checks"]
+    rows = json.loads(out)["checks"]
 
     def orders(name):
-        return [c["params"] for c in checks if c["name"] == name]
+        return [c["params"] for c in rows if c["name"] == name]
 
     assert orders("closed-form-agreement") == [f"m={m}" for m in range(1, 5)]
     assert orders("arques-walsh-agreement") == [f"m={m}" for m in range(1, 5)]
     assert orders("coefficient-recursion") == ["s=1 m=1", "s=1 m=2", "s=2 m=2"]
     assert "capped at order 2" in err
+
+
+@settings(max_examples=12, deadline=None)
+@given(max_order=st.integers(1, 12))
+def test_streamed_verify_json_is_the_bytes_of_one_dump(max_order):
+    # the checks are written a slice at a time after the frame's head
+    report = checks.run(max_order)
+    payload = {
+        "overall": report.overall,
+        "passed": sum(1 for c in report.checks if c.passed),
+        "total": len(report.checks),
+        "checks": [c._asdict() for c in report.checks],
+    }
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "--max-order", str(max_order), "--format", "json"]) == 0
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_verify_json_holds_no_text_but_a_slice_of_checks():
+    # in a fresh process whose modules are loaded before tracing starts, with
+    # stdout on devnull: one dump of the payload of all 2062 checks peaked
+    # at 9.3 MiB (Python 3.11.7), of which the report and the walk's memo
+    # hold 2.7 MiB
+    script = (
+        "import contextlib, os, sys, tracemalloc\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+        "from feyncount import checks, cli\n"
+        "with open(os.devnull, 'w', encoding='ascii') as devnull, "
+        "contextlib.redirect_stdout(devnull):\n"
+        "    tracemalloc.start()\n"
+        "    code = cli.main(['verify', '--max-order', '300', '--format', 'json'])\n"
+        "    peak = tracemalloc.get_traced_memory()[1]\n"
+        "print(code, peak)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 def test_verify_rejects_order_zero(capsys):
@@ -727,7 +766,7 @@ def test_missing_subcommand_is_usage_error():
     [
         (lambda: counting.count_table(1)[1],
          "CountRow(m=1, total=6, bubble=2, connected=4, distinct=2)"),
-        (lambda: counting.verify_divisibility(1).checks[0],
+        (lambda: checks.verify_divisibility(1).checks[0],
          "Check(name='divisibility', params='m=1', expected='0', actual='0', passed=True)"),
         # the README's two reprs
         (lambda: oracle.enumerate_matchings(3), "MatchCensus(vacuum_parts=(3552, 480, 288, 720))"),
@@ -777,7 +816,7 @@ def test_startup_loads_only_the_modules_a_command_uses(tmp_path):
         "counts --max-order 4 --format csv": "cli,compositions,counting;decimal",
         "oracle --order 3 --format json": "cli,compositions,oracle;json",
         f"export --order 1 --out-dir {tmp_path}": "cli,compositions,oracle;",
-        "verify --max-order 2 --format json": "cli,compositions,counting,oracle;json,decimal",
+        "verify --max-order 2 --format json": "checks,cli,compositions,counting,oracle;json,decimal",
     }
     for argv, loaded in commands.items():
         proc = subprocess.run(

@@ -25,6 +25,8 @@ from feyncount.counting import (
     distinct_connected,
     double_factorial,
     total_diagrams,
+)
+from feyncount.checks import (
     verify_coefficient_recursion,
     verify_convolution,
     verify_divisibility,

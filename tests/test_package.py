@@ -50,7 +50,7 @@ del star['__builtins__']
 assert sorted(star) == sorted(feyncount.__all__), sorted(star)
 assert len(feyncount.__all__) == len(set(feyncount.__all__))
 
-modules = [feyncount.compositions, feyncount.counting, feyncount.oracle]
+modules = [feyncount.compositions, feyncount.counting, feyncount.checks, feyncount.oracle]
 for name in feyncount.__all__:
     value = getattr(feyncount, name)
     assert star[name] is value, name
@@ -64,8 +64,10 @@ for name in feyncount.__all__:
     if defined_in is not None:
         assert getattr(sys.modules[defined_in], name) is value, name
 
-# the star import loads the three modules, but not the command
-assert loaded() == ['feyncount.compositions', 'feyncount.counting', 'feyncount.oracle'], loaded()
+# the star import loads the four modules, but not the command
+assert loaded() == [
+    'feyncount.checks', 'feyncount.compositions', 'feyncount.counting', 'feyncount.oracle'
+], loaded()
 assert missing('cli')
 from feyncount import cli
 assert feyncount.cli is cli and 'cli' in dir(feyncount)
