@@ -12,9 +12,10 @@ multisets, the partitions of n, each weighted by how many compositions
 share it (`multiset_multiplicity`): p(n) terms instead of 2**(n-1).
 
 The stream runs in cut-mask order.  The successor rule of binary
-counting derives each setting of the high cut bits from the one before,
-and each is joined to every entry of a block of the low bits' settings,
-built once per call, so the per-item work is two tuple joins.
+counting derives each setting of the high cut bits from the one before.
+Each setting builds its few middle parts once and is joined to every
+entry of a block of the low bits' settings, built once per call, so the
+per-item work is one tuple join.
 """
 
 from __future__ import annotations
@@ -35,14 +36,23 @@ class _Refusal(ValueError):
     """
 
 
+# A correctness bound, not a tuning knob: an int of at most 2000 bits has at
+# most 603 digits, below 640, the lowest int -> str digit limit CPython accepts
+# (`sys.int_info.str_digits_check_threshold`), so `str` never refuses it.
+_STR_SAFE_BITS = 2000
+
+
 def _render(value) -> str:
     """Exact text of a count, a check value or a refused integer.
 
-    Integers go through `Decimal`, which prints the same digits as `str`
-    but is not subject to CPython's int -> str digit limit.
+    An integer of at most `_STR_SAFE_BITS` bits is written by `str`; a
+    larger one goes through `Decimal`, which prints the same digits but is
+    not subject to CPython's int -> str digit limit.
     """
     if isinstance(value, int) and not isinstance(value, bool):
-        # imported here so that processes rendering nothing never load it
+        if value.bit_length() <= _STR_SAFE_BITS:
+            return str(value)
+        # imported here so that processes rendering no large integer never load it
         from decimal import Decimal
 
         return str(Decimal(value))
@@ -94,8 +104,9 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     fastest.  Their settings, the compositions of b+1, are built once per
     call, each split into its closed head and `left`, the units of its
     last part before unit b+1.  Each composition (first, *rest) of units
-    b+1..n, the high bits, is joined to every entry of that block as
-    head + (left + first,) + rest.
+    b+1..n, the high bits, builds its b+1 middles (left + first, *rest),
+    one per `left`, and is joined to every entry of that block as
+    head + middles[left], one tuple join per item.
     """
     _at_least(n, 0, "n")
     if n == 0:
@@ -105,8 +116,9 @@ def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     block = [(parts[:-1], parts[-1] - 1) for parts in _by_successor(low + 1)]
     for high in _by_successor(n - low):
         first, rest = high[0], high[1:]
+        middles = [(left + first,) + rest for left in range(low + 1)]
         for head, left in block:
-            yield head + (left + first,) + rest
+            yield head + middles[left]
 
 
 def _by_successor(n: int) -> Iterator[tuple[int, ...]]:
@@ -147,19 +159,3 @@ def multiset_multiplicity(ms: Mapping[int, int]) -> int:
     for mult in ms.values():
         result //= math.factorial(mult)
     return result
-
-
-def _part_multisets(n: int, largest: int | None = None) -> Iterator[dict[int, int]]:
-    """Yield every part multiset of n exactly once, as part value -> multiplicity.
-
-    These are the partitions of n, with no part above `largest` (default
-    n).  Larger parts come first, so the stream starts at {n: 1} and ends
-    at {1: n}.  n = 0 yields the single empty multiset.
-    """
-    if n == 0:
-        yield {}
-        return
-    for part in range(min(n, n if largest is None else largest), 0, -1):
-        for mult in range(n // part, 0, -1):
-            for rest in _part_multisets(n - part * mult, part - 1):
-                yield {part: mult, **rest}

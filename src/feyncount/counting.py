@@ -59,9 +59,7 @@ import math
 import threading
 from collections import namedtuple
 
-from .compositions import (
-    _COUNT_METHODS, _Refusal, _at_least, _part_multisets, _render, multiset_multiplicity,
-)
+from .compositions import _COUNT_METHODS, _Refusal, _at_least, _render
 
 class ExactnessError(ValueError):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -184,17 +182,28 @@ def _classificatory_sum(k: int) -> int:
 
     Over part multisets {a: mu_a} of k, only {} at k = 0, the sum of
     multiset_multiplicity * (-1)**(sum mu_a) * prod_a ((2a)!/a!)**mu_a.
+    One depth-first recursion visits the multisets, largest part first.
+    Each branch carries its partial term: adding the mu-th part a to
+    `count` parts multiplies the multinomial by (count + mu)/mu, exact at
+    every step, the sign by -1 and the product by (2a)!/a!.  A branch
+    closes by filling what remains with ones in one step, so it visits
+    each of the p(k) multisets once and none dead-ends.
     """
     ratio = [1]  # (2a)!/a!
     for a in range(1, k + 1):
         ratio.append(ratio[-1] * (4 * a - 2))
-    total = 0
-    for parts in _part_multisets(k):
-        term = multiset_multiplicity(parts) * math.prod(
-            ratio[a] ** mult for a, mult in parts.items()
-        )
-        total += -term if sum(parts.values()) & 1 else term
-    return total
+
+    def branch(rest, largest, count, term):
+        # rest ones close this branch; then each part 2 <= a <= largest
+        total = term * (-2) ** rest * math.comb(count + rest, rest)
+        for a in range(min(rest, largest), 1, -1):
+            t = term
+            for mu in range(1, rest // a + 1):
+                t = -t * ratio[a] * (count + mu) // mu
+                total += branch(rest - a * mu, a - 1, count + mu, t)
+        return total
+
+    return branch(k, k, 0, 1)
 
 
 def coefficient(n: int, m: int) -> int:

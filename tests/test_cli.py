@@ -812,11 +812,11 @@ def test_startup_loads_only_the_modules_a_command_uses(tmp_path):
         "report()\n"
     )
     commands = {
-        "compositions --n 1": "cli,compositions;decimal",
+        "compositions --n 1": "cli,compositions;",
         "counts --max-order 4 --format csv": "cli,compositions,counting;decimal",
         "oracle --order 3 --format json": "cli,compositions,oracle;json",
         f"export --order 1 --out-dir {tmp_path}": "cli,compositions,oracle;",
-        "verify --max-order 2 --format json": "checks,cli,compositions,counting,oracle;json,decimal",
+        "verify --max-order 2 --format json": "checks,cli,compositions,counting,oracle;json",
     }
     for argv, loaded in commands.items():
         proc = subprocess.run(

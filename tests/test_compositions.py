@@ -3,7 +3,8 @@
 import hashlib
 import itertools
 import sys
-from collections import Counter
+from collections import Counter, deque
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from feyncount.cli import main
 from feyncount.compositions import (
     _Refusal,
-    _part_multisets,
     _render,
     count_compositions,
     enumerate_compositions,
@@ -163,20 +163,6 @@ def test_grouping_by_multiset_is_lossless():
         assert total == 2 ** (n - 1)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=16))
-@example(0)
-def test_part_multisets_are_the_sorted_compositions(k):
-    # the classificatory sum's terms: one per distinct sorted composition,
-    # weighted by multiplicities that count the whole composition stream;
-    # at k = 0 the one term is {}, the empty composition
-    multisets = list(_part_multisets(k))
-    sorted_parts = [tuple(sorted(Counter(ms).elements())) for ms in multisets]
-    assert len(set(sorted_parts)) == len(sorted_parts)
-    assert set(sorted_parts) == {tuple(sorted(c)) for c in enumerate_compositions(k)}
-    assert sum(multiset_multiplicity(ms) for ms in multisets) == count_compositions(k)
-
-
 # Integers of either sign and of up to 16000 bits, 4817 digits: past CPython's
 # default 4300-digit int -> str limit.
 @settings(max_examples=50, deadline=None)
@@ -194,3 +180,44 @@ def test_render_writes_the_digits_str_writes(value):
     finally:
         sys.set_int_max_str_digits(previous)
     assert _render(value) == text
+
+
+# the largest ints that `_render` writes with `str`, the smallest it does not,
+# and 640, 641 and 701 digits: at the limit, and past it from 2127 bits, the
+# fewest at which an int can pass it
+@pytest.mark.parametrize(
+    "value",
+    [
+        (1 << 2000) - 1, -((1 << 2000) - 1),
+        1 << 2000, -(1 << 2000),
+        (1 << 2000) + 1, -((1 << 2000) + 1),
+        10**639, 10**640, 10**700,
+    ],
+    ids=[
+        "2**2000-1", "-(2**2000-1)", "2**2000", "-2**2000", "2**2000+1", "-(2**2000+1)",
+        "10**639", "10**640", "10**700",
+    ],
+)
+def test_render_writes_every_int_under_the_lowest_digit_limit(value):
+    # 640 is the lowest int -> str digit limit CPython accepts: an int that
+    # `_render` writes with `str` must pass it, and a larger one go through Decimal
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _render(value) == str(Decimal(value))
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_stream_holds_no_list_of_its_items():
+    # the 524288 compositions of 20, drained as they come: each setting of
+    # the high cut bits builds its few middle parts, never a list of items
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        deque(enumerate_compositions(20), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10

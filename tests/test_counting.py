@@ -4,14 +4,17 @@ recurrence, closed form, Arques-Walsh sum, and the identity suites."""
 import functools
 import math
 import sys
+from collections import Counter
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feyncount import counting
-from feyncount.compositions import _Refusal, enumerate_compositions
+from feyncount.compositions import (
+    _Refusal, count_compositions, enumerate_compositions, multiset_multiplicity,
+)
 from feyncount.counting import (
     ExactnessError,
     MethodDisagreementError,
@@ -164,6 +167,28 @@ def _coefficient_by_multinomial(n, m):
     return total
 
 
+def _part_multisets(n, largest=None):
+    """Every part multiset of n once, as part value -> multiplicity, larger
+    parts first and none above `largest` (default n); n = 0 yields {} alone."""
+    if n == 0:
+        yield {}
+        return
+    for part in range(min(n, n if largest is None else largest), 0, -1):
+        for mult in range(n // part, 0, -1):
+            for rest in _part_multisets(n - part * mult, part - 1):
+                yield {part: mult, **rest}
+
+
+def _classificatory_sum_by_multisets(k):
+    """`counting._classificatory_sum` with one guarded multiplicity per part
+    multiset, a reference used only by these tests."""
+    return sum(
+        multiset_multiplicity(ms) * (-1) ** sum(ms.values())
+        * math.prod(math.perm(2 * a, a) ** mult for a, mult in ms.items())
+        for ms in _part_multisets(k)
+    )
+
+
 def _closed_form_by_coefficients(m):
     """The closed form as the paper writes it, a reference used only by these tests."""
     return sum(
@@ -281,6 +306,32 @@ def test_coefficient_matches_the_multinomial_sum_to_fourteen():
 def test_coefficient_matches_the_multinomial_sum_at_random_orders(nm):
     n, m = nm
     assert coefficient(n, m) == _coefficient_by_multinomial(n, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=16))
+@example(0)
+def test_part_multisets_are_the_sorted_compositions(k):
+    # the classificatory sum's terms: one per distinct sorted composition,
+    # weighted by multiplicities that count the whole composition stream;
+    # at k = 0 the one term is {}, the empty composition
+    multisets = list(_part_multisets(k))
+    sorted_parts = [tuple(sorted(Counter(ms).elements())) for ms in multisets]
+    assert len(set(sorted_parts)) == len(sorted_parts)
+    assert set(sorted_parts) == {tuple(sorted(c)) for c in enumerate_compositions(k)}
+    assert sum(multiset_multiplicity(ms) for ms in multisets) == count_compositions(k)
+
+
+def test_classificatory_sum_matches_the_sum_over_part_multisets():
+    for k in range(26):
+        assert counting._classificatory_sum(k) == _classificatory_sum_by_multisets(k), k
+
+
+def test_classificatory_sum_is_the_walks_distinct_count_scaled():
+    # S(k) = g(k) = -2**k a(k) and a(k) = D(k - 1): the paper's classificatory
+    # sum against the walk, past the coefficient suite's cap of 20
+    for k in range(1, 36):
+        assert counting._classificatory_sum(k) == -(2**k) * distinct_connected(k - 1), k
 
 
 def test_coefficient_domain_errors():
