@@ -16,7 +16,6 @@ from `compositions`, which every command loads.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -48,29 +47,24 @@ def _print_csv(rows: Iterable) -> None:
         print(",".join(row))
 
 
-def _print_json(payload: dict) -> None:
-    # imported here so that processes printing no json never load it
-    import json
-
-    print(json.dumps(payload, indent=2))
-
-
-def _print_json_list(payload: dict, items: Iterable[dict], per_encode: int) -> None:
-    """Print the bytes of json.dumps(payload, indent=2) with `items` in place
+def _print_json(payload: dict, items: Iterable[dict] = (), per_encode: int = 1) -> None:
+    """Print the bytes of json.dumps(payload, indent=2), with `items` in place
     of the payload's one list, a top-level value given as [None], encoding
     `per_encode` items at a time, so no more of their text is alive at once.
+    A payload with no None in a top-level list prints whole.
 
-    The frame is the payload's text split at that None.  Each group of
-    items is encoded as a list of its own, whose brackets are cut off and
-    whose lines are indented two more, to the list's depth in the payload.
+    The frame is the payload's text split at that None, the one null that
+    starts a line indented four: a string never holds a raw newline.  Each
+    group of items is encoded as a list of its own, whose brackets are cut
+    off and whose lines are indented two more, to the list's depth.
     """
     # imported here so that processes printing no json never load it
     import json
 
     encode = json.JSONEncoder(indent=2).encode
-    head, _, tail = encode(payload).partition("null")
+    head, _, tail = encode(payload).partition("\n    null")
     print(head, end="")
-    items, separator = iter(items), ""
+    items, separator = iter(items), "\n    "
     while group := list(islice(items, per_encode)):
         print(separator, encode(group)[4:-2].replace("\n", "\n  "), sep="", end="")
         separator = ",\n    "
@@ -121,7 +115,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
         # header's or the last row's: (2M+1)!, (2M)!, its distinct count
         # times (2M)!!, and that count
         m = len(column) - 1
-        last = [str(m), *map(_render, (math.factorial(2 * m + 1), math.factorial(2 * m),
+        last = [str(m), *map(_render, (counting.total_diagrams(m), counting.bubble_diagrams(m),
                                        column[m] * counting.double_factorial(2 * m), column[m]))]
         widths = [max(len(name), len(cell)) for name, cell in zip(header, last)]
         _print_aligned(chain([header], cells), widths)
@@ -130,7 +124,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     elif args.format == "json":
         frame = {"max_order": args.max_order, "method": args.method, "rows": [None]}
         rows = ({"m": m, **dict(zip(header[1:], row[1:]))} for m, row in enumerate(cells))
-        _print_json_list(frame, rows, 1)
+        _print_json(frame, rows)
     return 0
 
 
@@ -146,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         frame = {"overall": report.overall, "passed": passed, "total": len(report.checks),
                  "checks": [None]}
-        _print_json_list(frame, (c._asdict() for c in report.checks), _JSON_CHECKS_PER_ENCODE)
+        _print_json(frame, (c._asdict() for c in report.checks), _JSON_CHECKS_PER_ENCODE)
     else:
         rows = [["check", "params", "expected", "actual", "status"]]
         rows += [

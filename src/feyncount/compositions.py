@@ -36,27 +36,20 @@ class _Refusal(ValueError):
     """
 
 
-# A correctness bound, not a tuning knob: an int of at most 2000 bits has at
-# most 603 digits, below 640, the lowest int -> str digit limit CPython accepts
-# (`sys.int_info.str_digits_check_threshold`), so `str` never refuses it.
-_STR_SAFE_BITS = 2000
-
-
 def _render(value) -> str:
     """Exact text of a count, a check value or a refused integer.
 
-    An integer of at most `_STR_SAFE_BITS` bits is written by `str`; a
-    larger one goes through `Decimal`, which prints the same digits but is
-    not subject to CPython's int -> str digit limit.
+    `str` writes it unless CPython's int -> str digit limit refuses an
+    int; that int goes through `Decimal`, which prints the same digits but
+    is not subject to the limit.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value.bit_length() <= _STR_SAFE_BITS:
-            return str(value)
-        # imported here so that processes rendering no large integer never load it
+    try:
+        return str(value)
+    except ValueError:
+        # imported here so that processes rendering no refused int never load it
         from decimal import Decimal
 
         return str(Decimal(value))
-    return str(value)
 
 
 def _of_type(value, kind: type, noun: str, name: str) -> None:

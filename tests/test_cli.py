@@ -50,6 +50,9 @@ ORACLE_4_SHA256 = {
     "csv": "b302f18a9cc03a717eed7ce54436c6ffdabeac3281122b9095d06a0a09081d5e",
     "json": "a3014e9c987114a4243ff10b3a23f60fbe768a49f3606bc84693aa4d1955b53e",
 }
+# sha256 of `oracle --order 5 --override --format json` stdout, the digest CI
+# pins for the real walk of all 39916800 pairings
+ORACLE_5_JSON_SHA256 = "e0c4e7c5b8ca27424e3feca9573eaac69902b7ca8368d563bde944993b77ddf4"
 # sha256 over the DOT files of `export --order 4` in name order (name, NUL,
 # bytes, NUL per file) as the group-expanding orbit census wrote them
 EXPORT_4_DOT_SHA256 = "b0c42b36b17a4a2de77c4988af7a4f0abb1040b39e5e14781ed421acc2002471"
@@ -342,6 +345,51 @@ def test_verify_json_holds_no_text_but_a_slice_of_checks():
     assert peak < 4 * 2**20
 
 
+# small json values with no None, so that the frame's placeholder is its one
+# null, and text that may itself read "null"
+_json_scalars = st.one_of(st.booleans(), st.integers(-10**6, 10**6), st.text(max_size=8))
+
+
+# no caller passes an empty list: `counts` always has row 0 and `verify` at
+# least one convolution row, so the items run from 1 to 40
+@settings(max_examples=80, deadline=None)
+@given(
+    items=st.lists(
+        st.dictionaries(st.text(max_size=6), st.one_of(st.none(), _json_scalars), max_size=4),
+        min_size=1, max_size=40,
+    ),
+    per_encode=st.sampled_from([1, 2, 3, 32]),
+    frame=st.dictionaries(st.text(max_size=6).filter(lambda key: key != "rows"), _json_scalars,
+                          max_size=4),
+    place=st.sampled_from(["first", "middle", "last"]),
+)
+@example(items=[{"null": None}], per_encode=1, frame={"annulled": "null"}, place="last")
+def test_json_writer_prints_the_bytes_of_one_dump(items, per_encode, frame, place):
+    entries = list(frame.items())
+    at = {"first": 0, "middle": len(entries) // 2, "last": len(entries)}[place]
+    payload = dict(entries[:at] + [("rows", [None])] + entries[at:])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._print_json(payload, iter(items), per_encode)
+    assert out.getvalue() == json.dumps({**payload, "rows": items}, indent=2) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    payload=st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(_json_scalars, st.lists(_json_scalars, max_size=3),
+                  st.dictionaries(st.text(max_size=6), st.one_of(st.none(), _json_scalars),
+                                  max_size=3)),
+        max_size=5,
+    )
+)
+@example(payload={"null": "null", "order": 5})
+def test_json_writer_prints_a_payload_with_no_placeholder_whole(payload):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._print_json(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
 def test_verify_rejects_order_zero(capsys):
     code, out, err = run(capsys, "verify", "--max-order", "0")
     assert code == 2
@@ -475,6 +523,37 @@ def test_oracle_override_refusal_names_the_flag(capsys):
     assert out == ""
     assert "pass --override to proceed up to order 5" in err
     assert "override=True" not in err
+
+
+def test_oracle_override_at_order_five_prints_the_walks_tally(capsys, monkeypatch):
+    # the walk's tally by the split identity: C(5, n) (2n)! c(5 - n) pairings
+    # cut n vertices off; the real walk of 11! pairings takes seconds, and CI
+    # runs it against the same digest
+    connected = counting.connected_sequence(5)
+    tally = [math.comb(5, n) * math.factorial(2 * n) * connected[5 - n] for n in range(6)]
+    assert tally == [31342080, 2711040, 852480, 576000, 806400, 3628800]
+
+    def walk(m, shard=None):
+        assert (m, shard) == (5, None)
+        return list(tally)
+
+    monkeypatch.setattr(oracle, "_walk_pairings", walk)
+    note = "note: orbit census skipped above order 4\n"
+    outs = {}
+    for fmt in ("json", "table", "csv"):
+        code, outs[fmt], err = run(capsys, "oracle", "--order", "5", "--override",
+                                   "--format", fmt)
+        assert (code, err) == (0, note), fmt
+    assert hashlib.sha256(outs["json"].encode()).hexdigest() == ORACLE_5_JSON_SHA256
+    assert outs["table"] == (
+        "    order         5\n"
+        "    total  39916800\n"
+        "connected  31342080\n"
+        "   vacuum   3628800\n"
+    )
+    assert outs["csv"] == (
+        "metric,value\norder,5\ntotal,39916800\nconnected,31342080\nvacuum,3628800\n"
+    )
 
 
 def test_oracle_writes_dot_files(capsys, tmp_path):

@@ -2,9 +2,12 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
 import sys
 from collections import Counter, deque
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,31 +185,75 @@ def test_render_writes_the_digits_str_writes(value):
     assert _render(value) == text
 
 
-# the largest ints that `_render` writes with `str`, the smallest it does not,
-# and 640, 641 and 701 digits: at the limit, and past it from 2127 bits, the
-# fewest at which an int can pass it
-@pytest.mark.parametrize(
-    "value",
-    [
-        (1 << 2000) - 1, -((1 << 2000) - 1),
-        1 << 2000, -(1 << 2000),
-        (1 << 2000) + 1, -((1 << 2000) + 1),
-        10**639, 10**640, 10**700,
-    ],
-    ids=[
-        "2**2000-1", "-(2**2000-1)", "2**2000", "-2**2000", "2**2000+1", "-(2**2000+1)",
-        "10**639", "10**640", "10**700",
-    ],
-)
-def test_render_writes_every_int_under_the_lowest_digit_limit(value):
-    # 640 is the lowest int -> str digit limit CPython accepts: an int that
-    # `_render` writes with `str` must pass it, and a larger one go through Decimal
+def _render_cases(limit: int) -> dict:
+    """The ints to render under an int -> str digit limit of `limit`, by id,
+    each of either sign: 10**limit and its two neighbours, of `limit` and
+    `limit` + 1 digits, then 2**2000 and its neighbours, of 603 digits, and
+    ints of 640, 641 and 701 digits, about the lowest limit CPython accepts.
+    """
+    edge = 10**limit
+    cases = {
+        f"10**{limit}-1": edge - 1, f"10**{limit}": edge, f"10**{limit}+1": edge + 1,
+        "2**2000-1": (1 << 2000) - 1, "2**2000": 1 << 2000, "2**2000+1": (1 << 2000) + 1,
+        "10**639": 10**639, "10**640": 10**640, "10**700": 10**700,
+    }
+    signed = {}
+    for name, value in cases.items():
+        signed[name] = value
+        if value:
+            signed[f"-({name})" if name[-2] in "+-" else f"-{name}"] = -value
+    return signed
+
+
+def _renders_as_decimal_does(limit: int, value: int) -> None:
+    # `str` writes what the limit lets it, and `Decimal` the rest: the
+    # digits must be the same either side of the limit
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
         assert _render(value) == str(Decimal(value))
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+# 640 is the lowest int -> str digit limit CPython accepts
+@pytest.mark.parametrize(
+    "value", [pytest.param(value, id=name) for name, value in _render_cases(640).items()]
+)
+def test_render_writes_every_int_under_the_lowest_digit_limit(value):
+    _renders_as_decimal_does(640, value)
+
+
+# CPython's default limit, and 0, no limit at all, where `str` never refuses
+@pytest.mark.parametrize(
+    "limit, value",
+    [
+        pytest.param(limit, value, id=f"{limit}:{name}")
+        for limit in (4300, 0)
+        for name, value in _render_cases(limit).items()
+    ],
+)
+def test_render_writes_every_int_under_the_default_limit_and_none(limit, value):
+    _renders_as_decimal_does(limit, value)
+
+
+def test_render_loads_decimal_only_for_an_int_str_refuses():
+    # in a fresh interpreter under the default 4300-digit limit: 10**4000
+    # has 4001 digits, which `str` writes, and 10**4300 has 4301
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+        "from feyncount.compositions import _render\n"
+        "assert sys.get_int_max_str_digits() == 4300\n"
+        "assert _render(10**4000) == '1' + '0' * 4000\n"
+        "print('decimal' in sys.modules)\n"
+        "assert _render(10**4300) == '1' + '0' * 4300\n"
+        "print('decimal' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
 
 
 def test_stream_holds_no_list_of_its_items():

@@ -551,6 +551,35 @@ def test_fresh_reports_share_no_checks_list():
     assert second.checks == []
 
 
+def test_extend_appends_the_other_reports_checks_in_order():
+    first, second = counting.VerificationReport(), counting.VerificationReport()
+    first.add("a", "m=1", 1, 1)
+    second.add("b", "m=2", 2, 2)
+    second.add("c", "m=3", 3, 3)
+    theirs = list(second.checks)
+    first.extend(second)
+    assert [check.name for check in first.checks] == ["a", "b", "c"]
+    assert first.checks[1:] == theirs
+    # the other report is left as it was, and its later checks stay its own
+    assert second.checks == theirs
+    second.add("d", "m=4", 4, 4)
+    assert len(first.checks) == 3
+
+
+def test_extend_makes_overall_cover_the_checks_of_both():
+    passing, also_passing, failing = (counting.VerificationReport() for _ in range(3))
+    passing.add("a", "", 1, 1)
+    also_passing.add("b", "", 2, 2)
+    failing.add("c", "", 3, 4)
+    passing.extend(also_passing)
+    assert passing.overall
+    passing.extend(failing)
+    assert not passing.overall
+    # a failing report stays failing whatever passing checks it takes on
+    failing.extend(also_passing)
+    assert not failing.overall
+
+
 def test_report_renders_past_the_int_str_digit_limit(default_digit_limit):
     report = counting.VerificationReport()
     report.add("x", "", 10**5000, 10**5000)
