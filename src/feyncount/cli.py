@@ -13,8 +13,6 @@ their report.  The parser reads the `--method` names and the override cap
 from `compositions`, which every command loads.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

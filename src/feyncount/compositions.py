@@ -18,16 +18,14 @@ entry of a block of the low bits' settings, built once per call, so the
 per-item work is one tuple join.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator, Mapping
 
 
 # Defined in this module, which imports no other part of the package, so that
-# every module can raise it, refuse a value of the wrong type by `_of_type` or
-# an input below its floor by `_at_least`, and write a count, a check or a
-# refused integer by `_render`.
+# every module can raise it, refuse a value of the wrong type by `_of_type`, an
+# input below its floor by `_at_least` or a factorial past a C long by
+# `_factorial`, and write a count, a check or a refused integer by `_render`.
 class _Refusal(ValueError):
     """An input or a cap was refused before any work started.
 
@@ -68,6 +66,16 @@ def _at_least(value: int, least: int, name: str) -> None:
     _of_type(value, int, "an integer", name)
     if value < least:
         raise _Refusal(f"{name} must be >= {least}, got {_render(value)}")
+
+
+def _factorial(n: int, name: str, value: int) -> int:
+    """n!, or the refusal of `value`, named `name`, where `math.factorial`
+    refuses n outright as past a C long: it raises before any work.
+    """
+    try:
+        return math.factorial(n)
+    except OverflowError:
+        raise _Refusal(f"{name} is past what math.factorial takes, got {_render(value)}") from None
 
 
 # Defined here, beside the guards, so that the command line's parser reads
@@ -143,12 +151,14 @@ def multiset_multiplicity(ms: Mapping[int, int]) -> int:
     multinomial (sum of multiplicities)! / product of multiplicity
     factorials: how often that multiset occurs in the composition stream
     of its weighted total, and 1 for {}, the one empty composition of 0.
+    A part count past what `math.factorial` takes is refused.
     """
     _of_type(ms, Mapping, "a mapping", "part multiset")
     for part, mult in ms.items():
         _at_least(part, 1, "part")
         _at_least(mult, 1, "multiplicity")
-    result = math.factorial(sum(ms.values()))
+    count = sum(ms.values())
+    result = _factorial(count, "part count", count)
     for mult in ms.values():
         result //= math.factorial(mult)
     return result

@@ -53,13 +53,11 @@ pass through floating point.  `Check` and `VerificationReport` are the
 records that `verify`'s suites, in `feyncount.checks`, fill.
 """
 
-from __future__ import annotations
-
 import math
 import threading
 from collections import namedtuple
 
-from .compositions import _COUNT_METHODS, _Refusal, _at_least, _render
+from .compositions import _COUNT_METHODS, _Refusal, _at_least, _factorial, _render
 
 class ExactnessError(ValueError):
     """An exact-division guarantee failed; this signals an implementation bug."""
@@ -80,24 +78,33 @@ _walk_memo = ([1], [1, 0])
 
 
 def total_diagrams(m: int) -> int:
-    """Total number of order-m diagrams, connected or not: (2m+1)!."""
+    """Total number of order-m diagrams, connected or not: (2m+1)!.
+
+    An m whose 2m+1 is past what `math.factorial` takes is refused.
+    """
     _at_least(m, 0, "perturbation order")
-    return math.factorial(2 * m + 1)
+    return _factorial(2 * m + 1, "perturbation order", m)
 
 
 def bubble_diagrams(m: int) -> int:
-    """Number of order-m vacuum (bubble) diagrams: (2m)!."""
+    """Number of order-m vacuum (bubble) diagrams: (2m)!.
+
+    An m whose 2m is past what `math.factorial` takes is refused.
+    """
     _at_least(m, 0, "perturbation order")
-    return math.factorial(2 * m)
+    return _factorial(2 * m, "perturbation order", m)
 
 
 def double_factorial(k: int) -> int:
-    """k!! = 2*4*...*k for even k >= 0; the symmetry-group order at k = 2m."""
+    """k!! = 2*4*...*k for even k >= 0; the symmetry-group order at k = 2m.
+
+    A k whose k/2 is past what `math.factorial` takes is refused.
+    """
     _at_least(k, 0, "k")
     if k % 2:
         raise _Refusal(f"only even non-negative arguments arise here, got {_render(k)}")
     half = k // 2
-    return (1 << half) * math.factorial(half)
+    return _factorial(half, "k", k) << half
 
 
 def _walk_counts(m: int) -> list[int]:

@@ -44,8 +44,6 @@ refused unless explicitly overridden, and `orbit_census` refuses every
 order above the default cap, with its cost, before it walks a pairing.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import Counter, namedtuple
@@ -391,7 +389,7 @@ def export_diagram(diagram: CanonicalDiagram) -> str:
     m = diagram.order
     edges = diagram_edges(diagram.pairing, m)
     names = ["X", "Y"] + [f"v{i}" for i in range(1, m + 1)]
-    lines = [f"graph diagram_m{m} {{"]
+    lines = [f"graph diagram_m{m:d} {{"]  # a bool order writes as the int it is
     lines.extend(f"  {name};" for name in names)
     lines.extend(f"  {names[u]} -- {names[v]};" for u, v in edges)
     lines.append("}")

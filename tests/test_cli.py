@@ -878,7 +878,7 @@ def test_startup_loads_only_the_modules_a_command_uses(tmp_path):
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
-        "watched = ('dataclasses', 'inspect', 'json', 'pathlib', 'decimal')\n"
+        "watched = ('__future__', 'dataclasses', 'inspect', 'json', 'pathlib', 'decimal')\n"
         "def report():\n"
         "    package = sorted(name.partition('.')[2] for name in sys.modules if name.startswith('feyncount.'))\n"
         "    stdlib = [name for name in watched if name in sys.modules]\n"

@@ -156,6 +156,12 @@ def test_multiplicity_rejects_bad_input():
         multiset_multiplicity({0: 2})
     with pytest.raises(_Refusal, match=r"^multiplicity must be >= 1, got 0$"):
         multiset_multiplicity({3: 0})
+    # (sum of multiplicities)! past a C long: refused before any work, not
+    # leaked as math.factorial's OverflowError
+    refusal = r"^part count is past what math.factorial takes, got 10{20}$"
+    for ms in ({1: 10**20}, {1: 10**20 - 1, 2: 1}):
+        with pytest.raises(_Refusal, match=refusal):
+            multiset_multiplicity(ms)
 
 
 def test_grouping_by_multiset_is_lossless():

@@ -261,6 +261,22 @@ def test_double_factorial_rejects_odd_and_negative():
         double_factorial(-2)
 
 
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: total_diagrams(10**20), "perturbation order", 10**20),
+        (lambda: bubble_diagrams(10**20), "perturbation order", 10**20),
+        (lambda: double_factorial(2 * 10**20), "k", 2 * 10**20),
+    ],
+    ids=["total_diagrams", "bubble_diagrams", "double_factorial"],
+)
+def test_factorial_helpers_refuse_an_argument_past_math_factorial(call, name, value):
+    # (2m+1)!, (2m)! and (k/2)! of an argument past a C long: refused before
+    # any work, not leaked as math.factorial's OverflowError
+    with pytest.raises(_Refusal, match=f"^{name} is past what math.factorial takes, got {value}$"):
+        call()
+
+
 def test_recurrence_sequence():
     assert [connected_recurrence(m) for m in range(5)] == CONNECTED
     assert connected_recurrence(5) == CONNECTED_5

@@ -496,6 +496,14 @@ def test_export_first_order_one_diagram():
     )
 
 
+def test_export_writes_a_bool_order_as_the_int_it_is():
+    # a bool is an int, as it is to `range`, and its diagram's text is order 1's
+    first = export_diagram(orbit_census(1).representatives[0])
+    assert export_diagram(orbit_census(True).representatives[0]) == first
+    assert export_diagram(canonical_form((1, 0, 2), True)) == first
+    assert export_diagram(CanonicalDiagram(True, (1, 0, 2))) == first
+
+
 def test_export_is_deterministic_and_well_formed():
     for diagram in orbit_census(2).representatives:
         dot = export_diagram(diagram)

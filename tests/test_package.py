@@ -246,9 +246,24 @@ REFUSALS_PAST_THE_LIMIT = {
     "double_factorial": (
         lambda: double_factorial(PAST_THE_LIMIT + 1), _Refusal, PAST_THE_LIMIT + 1
     ),
+    # the even argument, whose half is past what math.factorial takes
+    "double_factorial-even": (
+        lambda: double_factorial(2 * PAST_THE_LIMIT), _Refusal, 2 * PAST_THE_LIMIT
+    ),
+    # 2m+1 and 2m, past what math.factorial takes
+    "total_diagrams": (
+        lambda: feyncount.total_diagrams(PAST_THE_LIMIT), _Refusal, PAST_THE_LIMIT
+    ),
+    "bubble_diagrams": (
+        lambda: feyncount.bubble_diagrams(PAST_THE_LIMIT), _Refusal, PAST_THE_LIMIT
+    ),
     "coefficient": (lambda: coefficient(PAST_THE_LIMIT, 3), _Refusal, PAST_THE_LIMIT),
     "multiset_multiplicity": (
         lambda: multiset_multiplicity({-PAST_THE_LIMIT: 1}), _Refusal, -PAST_THE_LIMIT
+    ),
+    # the part count, the sum of the multiplicities
+    "multiset_multiplicity-count": (
+        lambda: multiset_multiplicity({1: PAST_THE_LIMIT}), _Refusal, PAST_THE_LIMIT
     ),
     # (2m+1)! > 10^4300, past the hard cap that no override reaches
     "enumerate_matchings": (
